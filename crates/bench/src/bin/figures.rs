@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick]
-//!                         [--check] [--tickless] [--check-perf] [--csv DIR]
+//!                         [--check] [--check-perf] [--smoke] [--hosts N] [--parity]
+//!                         [--csv DIR]
 //! ```
 //!
 //! Experiment names are listed by [`usage`], generated from the one
@@ -25,9 +26,6 @@
 //! ([`irs_core::check`]) for every simulated run: each system validates
 //! scheduler invariants after every event and panics with a trace dump on
 //! the first violation. Tables are identical with and without it.
-//! `--tickless` arms tickless fast-forward for every run: quiescent timer
-//! ticks are elided and replayed in closed form instead of dispatched.
-//! Tables are identical with and without it — it only changes wall-clock.
 //! `--hosts N` rescales the fleet campaign to an `N`-host fleet (tenant
 //! load scales along); its history phase is `fleet-scale` and its
 //! `--check-perf` gate ratchets *effective* events/sec (logical volume
@@ -35,13 +33,14 @@
 //! `--parity` re-runs the fleet campaign with the incremental engine
 //! disabled and asserts the SLO tables are bit-identical (no history,
 //! no ratchet — it is a correctness gate).
+//! `--seeds N` and `--hosts N` must be positive.
 //! `--check-perf` turns `perf` into a regression gate: exit non-zero if
-//! the combined speedup (ticked sequential over tickless parallel) falls
-//! below its noise-band floor (0.85 — the true ratio is ~1.0 on 1-core
-//! boxes), the queue micro-benchmark drops below its absolute floor,
-//! or any phase regresses past the ratchet tolerance against the best
-//! matching `BENCH_history.jsonl` record (same phase / tickless flag /
-//! worker count / host core count). Each `perf` invocation appends one
+//! the speedup (sequential over parallel) falls below its noise-band
+//! floor (0.85 — the true ratio is ~1.0 on 1-core boxes), the queue
+//! micro-benchmark drops below its absolute floor, or any phase
+//! regresses past the ratchet tolerance against the best matching
+//! `BENCH_history.jsonl` record (same phase / worker count / host core
+//! count). Each `perf` invocation appends one
 //! line per measured phase to `BENCH_history.jsonl` for trend tracking;
 //! `fleet` and `serving` append one record per campaign (phases `fleet`
 //! / `fleet-smoke` / `serving` / `serving-smoke`) and `--check-perf`
@@ -97,7 +96,7 @@ fn usage() -> ! {
             .join(" ")
     };
     eprintln!(
-        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--tickless] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
+        "usage: figures <experiment>... [--seeds N] [--base-seed S] [--jobs N] [--quick] [--check] [--check-perf] [--smoke] [--hosts N] [--parity] [--csv DIR]\n\
          experiments:\n\
          \u{20} {}\n\
          \u{20} {}\n\
@@ -197,6 +196,14 @@ fn append_history(lines: &str) {
     }
 }
 
+/// Parses a count that must be at least 1 (`--seeds`, `--hosts`): zero
+/// seeds or hosts would make every table and contract vacuous.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(arg: Option<String>) -> T {
+    arg.and_then(|n| n.parse().ok())
+        .filter(|n| *n > T::default())
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -213,10 +220,7 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => opts = Opts { seeds: 1, ..opts },
-            "--seeds" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                opts.seeds = n.parse().unwrap_or_else(|_| usage());
-            }
+            "--seeds" => opts.seeds = positive(it.next()),
             "--base-seed" => {
                 let n = it.next().unwrap_or_else(|| usage());
                 opts.base_seed = n.parse().unwrap_or_else(|_| usage());
@@ -229,15 +233,11 @@ fn main() {
                 irs_core::parallel::set_default_jobs(opts.jobs);
             }
             "--check" => irs_core::check::set_check_enabled(true),
-            "--tickless" => irs_core::set_tickless_enabled(true),
             "--check-perf" => check_perf = true,
             // Shrinks the fleet campaign to its CI variant.
             "--smoke" => smoke = true,
             // Rescales the fleet campaign (phase `fleet-scale`).
-            "--hosts" => {
-                let n = it.next().unwrap_or_else(|| usage());
-                hosts = Some(n.parse().unwrap_or_else(|_| usage()));
-            }
+            "--hosts" => hosts = Some(positive(it.next())),
             // Incremental-vs-full bit-identity gate for the fleet.
             "--parity" => parity = true,
             // Flag alias so CI scripts read as "run the smoke" rather

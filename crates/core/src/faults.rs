@@ -71,6 +71,11 @@ pub struct FaultConfig {
     /// Per-tick probability that a degraded pCPU takes a forced
     /// maintenance-style preemption of whatever it is running.
     pub degrade_prob: f64,
+    /// Test-only scheduler corruption: sets
+    /// [`irs_xen::XenConfig::fault_double_run`], so the first contended
+    /// wake-up double-books a pCPU. Exists solely to prove the invariant
+    /// sanitizer ([`crate::check`]) trips; never part of any figure.
+    pub double_run: bool,
 }
 
 impl Default for FaultConfig {
@@ -85,6 +90,7 @@ impl Default for FaultConfig {
             deadline_jitter: 0.0,
             degraded_pcpus: 0,
             degrade_prob: 0.0,
+            double_run: false,
         }
     }
 }
@@ -146,6 +152,7 @@ impl FaultConfig {
             deadline_jitter: 0.5,
             degraded_pcpus: 1,
             degrade_prob: 0.25,
+            double_run: false,
         }
     }
 
@@ -157,6 +164,7 @@ impl FaultConfig {
             || self.wedge_prob > 0.0
             || self.deadline_jitter > 0.0
             || (self.degraded_pcpus > 0 && self.degrade_prob > 0.0)
+            || self.double_run
     }
 }
 

@@ -6,9 +6,6 @@ use irs_xen::{PleConfig, RelaxedCoConfig, SaConfig, XenConfig};
 use std::fmt;
 
 /// A hypervisor/guest scheduling strategy (§5.1 "Scheduling strategies").
-// Not a manual non-exhaustive guard: the hidden variant is a real,
-// constructible strategy (test-only fault injection).
-#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Unmodified Xen credit scheduler + unmodified Linux guest: the
@@ -33,12 +30,6 @@ pub enum Strategy {
     /// a preempted sibling directly. Not realizable in a real guest without
     /// new kernel machinery; implemented here as the upper-bound oracle.
     IrsPull,
-    /// Test-only fault injection: vanilla scheduling with
-    /// [`XenConfig::fault_double_run`] set, so the first contended wake-up
-    /// double-books a pCPU. Exists solely to prove the invariant sanitizer
-    /// ([`crate::check`]) trips; never part of any figure.
-    #[doc(hidden)]
-    FaultDoubleRun,
 }
 
 impl Strategy {
@@ -79,10 +70,6 @@ impl Strategy {
             },
             Strategy::Irs | Strategy::IrsPull => XenConfig {
                 sa: Some(SaConfig::default()),
-                ..base
-            },
-            Strategy::FaultDoubleRun => XenConfig {
-                fault_double_run: true,
                 ..base
             },
         }
@@ -127,7 +114,6 @@ impl fmt::Display for Strategy {
             Strategy::StrictCo => "Strict-Co",
             Strategy::Irs => "IRS",
             Strategy::IrsPull => "IRS-pull",
-            Strategy::FaultDoubleRun => "Fault-DoubleRun",
         };
         f.pad(s)
     }

@@ -1,10 +1,10 @@
 //! Snapshot/fork determinism — the headline contract of `System::snapshot`:
 //! a forked branch must be **bit-identical** (Debug-rendered `RunResult` +
 //! `FaultStats`) to a from-scratch run of the same scenario and config, at
-//! any `--jobs N`, tickless or not, checked or not.
+//! any `--jobs N`, checked or not.
 //!
-//! Comparison is by `Debug` rendering, as in `tickless.rs`: `f64` Debug is
-//! shortest-roundtrip, so equal renderings mean every float is bit-equal.
+//! Comparison is by `Debug` rendering: `f64` Debug is shortest-roundtrip,
+//! so equal renderings mean every float is bit-equal.
 
 use irs_core::{parallel, runner, FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
@@ -18,13 +18,12 @@ fn quick(strategy: Strategy, seed: u64) -> Scenario {
 /// Scratch-runs the config, then forks two branches off a 40 ms warmup and
 /// completes them through the worker pool at `--jobs 1` and `--jobs 2`;
 /// every branch (and the warmup system itself) must render identically.
-fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>, tickless: bool) {
+fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>) {
     let cfg = SystemConfig {
         faults,
-        tickless,
         ..SystemConfig::default()
     };
-    let label = format!("{strategy:?} faults={} tickless={tickless}", cfg.faults.is_some());
+    let label = format!("{strategy:?} faults={}", cfg.faults.is_some());
     let scratch = System::with_config(quick(strategy, 11), cfg.clone()).run();
     let want = format!("{scratch:?}");
 
@@ -47,11 +46,11 @@ fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>, tickles
     assert_eq!(format!("{warm_result:?}"), want, "[{label}] warmup finish diverged");
 }
 
-/// The acceptance matrix: 4 strategies × fault profiles × tickless on/off.
+/// The acceptance matrix: 4 strategies × fault profiles.
 /// Each strategy pairs with the no-faults baseline plus a rotating heavy
 /// profile, so every fault family crosses the snapshot boundary somewhere.
 #[test]
-fn fork_matrix_strategies_faults_tickless() {
+fn fork_matrix_strategies_faults() {
     let profiles = [
         FaultConfig::everything(),
         FaultConfig::wedged_guest(),
@@ -65,18 +64,16 @@ fn fork_matrix_strategies_faults_tickless() {
         Strategy::Irs,
     ];
     for (i, strategy) in strategies.into_iter().enumerate() {
-        for tickless in [false, true] {
-            assert_fork_identity(strategy, None, tickless);
-            assert_fork_identity(strategy, Some(profiles[i].clone()), tickless);
-        }
+        assert_fork_identity(strategy, None);
+        assert_fork_identity(strategy, Some(profiles[i].clone()));
     }
 }
 
-/// Gang scheduling keeps a `GangRotate` timer permanently in flight and
-/// disables tickless — the snapshot must carry that timer across too.
+/// Gang scheduling keeps a `GangRotate` timer permanently in flight — the
+/// snapshot must carry that timer across too.
 #[test]
 fn fork_under_strict_co() {
-    assert_fork_identity(Strategy::StrictCo, None, false);
+    assert_fork_identity(Strategy::StrictCo, None);
 }
 
 /// Forking a *checked* run rebuilds the sanitizer at the snapshot instant;
@@ -157,9 +154,13 @@ fn sanitizer_violation_replays_from_checkpoint() {
     let cfg = SystemConfig {
         check: true,
         checkpoint_period: Some(SimTime::from_millis(5)),
+        faults: Some(FaultConfig {
+            double_run: true,
+            ..FaultConfig::default()
+        }),
         ..SystemConfig::default()
     };
-    let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::FaultDoubleRun, 42)
+    let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::Vanilla, 42)
         .horizon(SimTime::from_secs(5));
     let result = catch_unwind(AssertUnwindSafe(|| {
         System::with_config(scenario, cfg).run()

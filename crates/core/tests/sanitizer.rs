@@ -3,7 +3,7 @@
 //! deliberately corrupted scheduler is caught with a named invariant and a
 //! trace dump.
 
-use irs_core::{Scenario, Strategy, System, SystemConfig};
+use irs_core::{FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -58,7 +58,14 @@ fn checking_does_not_perturb_results() {
 #[test]
 fn fault_injection_trips_the_sanitizer() {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        System::with_config(short_fig5(Strategy::FaultDoubleRun, 42), checked_cfg()).run()
+        let cfg = SystemConfig {
+            faults: Some(FaultConfig {
+                double_run: true,
+                ..FaultConfig::default()
+            }),
+            ..checked_cfg()
+        };
+        System::with_config(short_fig5(Strategy::Vanilla, 42), cfg).run()
     }));
     let err = result.expect_err("the double-run fault must trip the sanitizer");
     let msg = err

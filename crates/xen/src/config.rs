@@ -62,7 +62,8 @@ pub struct XenConfig {
     /// **Deliberate fault injection** for the invariant sanitizer's own
     /// tests: on wake-up the scheduler marks the woken vCPU `Running` on its
     /// target pCPU *without* descheduling the incumbent, double-booking the
-    /// pCPU. Never set outside sanitizer self-tests.
+    /// pCPU. Never set outside sanitizer self-tests (which reach it through
+    /// `irs_core::FaultConfig::double_run`).
     pub fault_double_run: bool,
 }
 

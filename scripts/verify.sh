@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, a lint gate, a
-# checked strategy sweep (online invariant sanitizer armed), a
-# parallel-runner smoke test, a tickless equivalence pass (sanitizer
-# armed, fast-forward on), a checked fault-injection chaos smoke, and a
-# snapshot/fork smoke (forked branches bit-identical to from-scratch
+# Tier-1 verification: release build, full test suite, a lint gate, the
+# benchmark's own build and self-test (perfbench is a separate
+# workspace, so the workspace build never compiles it), a checked
+# strategy sweep (online invariant sanitizer armed), a parallel-runner
+# smoke test, a checked fault-injection chaos smoke, and a snapshot/fork
+# smoke (forked branches bit-identical to from-scratch
 # runs across strategies and fault profiles), a fleet-campaign smoke
 # (16-host datacenter with churn and adversarial tenants; asserts the
 # degradation contract per cell and ratchets its events/sec), a
@@ -16,7 +17,7 @@
 # interference; asserts every cell completed requests, once with the
 # sanitizer armed and once recording/ratcheting its events/sec).
 # Also regenerates BENCH_runner.json (via `figures perf --check-perf`,
-# which fails the build on a combined-speedup regression below 0.85, on a
+# which fails the build on a sequential-over-parallel speedup below 0.85, on a
 # queue-throughput drop below the timer-wheel floor, or on any phase
 # falling past the ratchet tolerance of its best matching
 # BENCH_history.jsonl record) and records the total verification
@@ -37,14 +38,14 @@ cargo test --workspace -q
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench self-test (benchmark build + references) =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== figures checked sweep (invariant sanitizer, all strategies) =="
 ./target/release/figures core --quick --check --jobs 2 >/dev/null
 
 echo "== figures smoke (parallel fan-out) =="
 ./target/release/figures core --quick --seeds 2 --jobs 2 >/dev/null
-
-echo "== figures tickless sweep (fast-forward on, sanitizer armed) =="
-./target/release/figures core --quick --check --tickless --jobs 2 >/dev/null
 
 echo "== figures chaos (fault-injection campaign, sanitizer armed) =="
 ./target/release/figures chaos --quick --check --jobs 2 >/dev/null
