@@ -12,8 +12,8 @@
 //! whose history phase is `fleet-scale` and whose ratchet tracks
 //! *effective* throughput: logical events (what a non-incremental
 //! campaign would have simulated) per wall second. The incremental
-//! engine (dirty-host carry-over + composition-keyed snapshot/result
-//! cache) is what makes 1000-host fleets affordable; `--parity`
+//! engine (dirty-host carry-over + composition-keyed result cache) is
+//! what makes 1000-host fleets affordable; `--parity`
 //! re-runs the campaign with incrementality disabled and asserts the
 //! SLO tables are bit-identical.
 
@@ -106,9 +106,9 @@ pub fn spec(opts: Opts, smoke: bool, hosts: Option<usize>) -> CampaignSpec {
 ///
 /// # Panics
 ///
-/// Panics if any cell violates the degradation contract, or if warmup
-/// sharing shared nothing (a fleet without repeated compositions would
-/// mean the churn model degenerated).
+/// Panics if any cell violates the degradation contract, or if no
+/// composition repeated within an epoch (a fleet without repeated
+/// compositions would mean the churn model degenerated).
 pub fn fleet(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
     let spec = spec(opts, smoke, hosts);
     let fleet_hosts = spec.fleet.hosts;
@@ -117,7 +117,7 @@ pub fn fleet(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
     let wall_s = t.elapsed().as_secs_f64();
     assert!(
         report.fork_warmup_saved > 0,
-        "fleet campaign shared no warmups across equal-composition hosts"
+        "fleet campaign had no repeated host compositions to share a run"
     );
     FleetOutcome {
         report,
@@ -136,9 +136,7 @@ pub fn fleet(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
 ///
 /// Panics on any table divergence or logical-counter mismatch.
 pub fn assert_incremental_parity(opts: Opts, smoke: bool, hosts: Option<usize>) -> FleetOutcome {
-    let mut inc_spec = spec(opts, smoke, hosts);
-    inc_spec.fleet.incremental = true;
-    let mut full_spec = inc_spec.clone();
+    let mut full_spec = spec(opts, smoke, hosts);
     full_spec.fleet.incremental = false;
     let outcome = fleet(opts, smoke, hosts);
     let full = irs_fleet::run_campaign(&full_spec);
@@ -156,6 +154,14 @@ pub fn assert_incremental_parity(opts: Opts, smoke: bool, hosts: Option<usize>) 
     );
     assert_eq!(full.events, outcome.report.events, "logical events diverged");
     assert_eq!(full.host_runs, outcome.report.host_runs, "host runs diverged");
+    assert_eq!(
+        full.tenants_placed, outcome.report.tenants_placed,
+        "tenants placed diverged"
+    );
+    assert_eq!(
+        full.tenants_rejected, outcome.report.tenants_rejected,
+        "tenants rejected diverged"
+    );
     assert!(
         outcome.report.runs_elided > 0,
         "parity held but incrementality elided nothing"
@@ -229,7 +235,7 @@ pub fn history_line(
 /// *executed* events/sec (engine speed, comparable across the
 /// incremental transition); `fleet-scale` ratchets *effective*
 /// events/sec and additionally enforces the deterministic
-/// [`SCALE_MIN_ELISION`]× incrementality floor.
+/// `SCALE_MIN_ELISION`× incrementality floor.
 pub fn check_fleet_perf(
     o: &FleetOutcome,
     history: &str,

@@ -2,8 +2,7 @@
 //!
 //! One function per table/figure of the paper's evaluation; each returns an
 //! [`irs_metrics::Table`] whose rendering prints the same rows/series the
-//! paper plots. The `figures` binary is the CLI front end; the Criterion
-//! benches reuse scaled-down versions of the same functions.
+//! paper plots. The `figures` binary is the CLI front end.
 //!
 //! Figure functions are deterministic given [`Opts`]: every data point is
 //! the mean over `opts.seeds` seeded repetitions (the paper averages five
@@ -69,7 +68,7 @@ pub fn mean_makespan_ms<F>(opts: Opts, make: F) -> f64
 where
     F: Fn(u64) -> Scenario + Sync,
 {
-    runner::mean_makespan_ms_jobs(opts.base_seed, opts.seeds, opts.jobs, make)
+    runner::grid_mean_makespans(opts.base_seed, opts.seeds, opts.jobs, &[&make])[0]
 }
 
 /// Mean improvement (%) of `strategy` over vanilla for the same scenario
@@ -79,13 +78,13 @@ pub fn improvement_over_vanilla<F>(opts: Opts, strategy: Strategy, make: F) -> f
 where
     F: Fn(Strategy, u64) -> Scenario + Sync,
 {
-    runner::mean_improvement_pct_jobs(
+    let means = runner::grid_mean_makespans(
         opts.base_seed,
         opts.seeds,
         opts.jobs,
-        |s| make(Strategy::Vanilla, s),
-        |s| make(strategy, s),
-    )
+        &[&|s| make(Strategy::Vanilla, s), &|s| make(strategy, s)],
+    );
+    irs_metrics::improvement_pct(means[0], means[1])
 }
 
 /// The strategy columns the paper's grouped bar charts use.

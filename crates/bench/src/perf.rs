@@ -16,18 +16,18 @@
 //! three passes must produce bit-identical results — the harness asserts
 //! it (`Debug` rendering, which is shortest-roundtrip for every float)
 //! before reporting. The headline `speedup` is sequential over parallel,
-//! which the `--check-perf` regression gate holds at ≥ [`SPEEDUP_FLOOR`]
+//! which the `--check-perf` regression gate holds at ≥ `SPEEDUP_FLOOR`
 //! (single-core CI boxes cannot promise thread-level scaling — the true
 //! ratio there sits at ~1.0 — but the pool must never make the engine
 //! *materially slower* than the sequential baseline).
 //!
 //! An untimed warm-up pass runs first and doubles as a probe: the mix is
 //! repeated enough times that each timed pass lasts at least
-//! [`MIN_TIMED_WALL_S`] and the grid holds at least [`MIN_GRID_RUNS`]
+//! `MIN_TIMED_WALL_S` and the grid holds at least `MIN_GRID_RUNS`
 //! runs. Without the scaling, a release-mode mix finishes in ~10 ms and
 //! the parallel pass mostly measures pool startup — which is how an
 //! earlier report shipped a "speedup" of 0.76x. Each phase is then timed
-//! as the **best of [`MEASURE_PASSES`] shorter passes** (minimum wall —
+//! as the **best of `MEASURE_PASSES` shorter passes** (minimum wall —
 //! the classic defence against one-sided scheduling noise: interference
 //! only ever adds time, so the minimum is the least-contaminated
 //! reading). A single long pass is at the mercy of whatever the CI box's
@@ -168,7 +168,7 @@ impl PerfReport {
     /// The `--check-perf` regression gate. Returns one message per
     /// violated check; empty means the gate passes. `history` is the raw
     /// `BENCH_history.jsonl` content (pre-append), used to *ratchet*: each
-    /// phase's current throughput must stay above [`RATCHET_FRAC`] of the
+    /// phase's current throughput must stay above `RATCHET_FRAC` of the
     /// best history record with the **matching configuration** (same
     /// phase, worker count, and host core count) — records from other
     /// configurations, legacy lines without a `phase` or `cores` field,
@@ -390,8 +390,8 @@ const FORK_WARMUP: SimTime = SimTime::from_millis(50);
 /// Times the grid in all three configurations and returns the combined
 /// report. `opts.seeds` seeds per mix entry; the whole mix is then
 /// repeated (identically — the engine is deterministic) until a timed
-/// pass is expected to take at least [`MIN_TIMED_WALL_S`] and the grid
-/// holds at least [`MIN_GRID_RUNS`] runs. The repetition is what the
+/// pass is expected to take at least `MIN_TIMED_WALL_S` and the grid
+/// holds at least `MIN_GRID_RUNS` runs. The repetition is what the
 /// forked phase exploits: `runs / base_runs` branches per distinct cell
 /// share one warmup each.
 pub fn perf(opts: Opts) -> PerfReport {

@@ -5,7 +5,7 @@
 //! In a healthy full-system run that fallback never fires (every round is
 //! acked in ~22 µs against a 500 µs limit), so this module exists to make it
 //! fire *on purpose*: a [`FaultConfig`] describes a fault schedule, and the
-//! [`System`](crate::System) consults a [`FaultState`] at the three points
+//! [`System`](crate::System) consults its fault state at the three points
 //! where the SA protocol crosses the hypervisor/guest boundary:
 //!
 //! * **upcall loss** — the `DeliverVirq(SaUpcall)` action is dropped before

@@ -37,10 +37,9 @@ impl RunResult {
             .expect("scenario had no measured VM")
     }
 
-    /// Coarse, deterministic estimate of this result's resident bytes —
-    /// the [`crate::runner::ForkCache`] budgeting companion of
-    /// [`crate::Snapshot::approx_bytes`]. Latency vectors dominate;
-    /// everything else is inline.
+    /// Coarse, deterministic estimate of this result's resident bytes,
+    /// which [`crate::runner::ForkCache`] budgets against. Latency vectors
+    /// dominate; everything else is inline.
     pub fn approx_bytes(&self) -> usize {
         let mut b = std::mem::size_of::<Self>();
         for vm in &self.vms {

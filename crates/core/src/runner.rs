@@ -1,19 +1,23 @@
-//! Multi-seed experiment helpers.
+//! Experiment runners: one entry point per job, each fanning out through
+//! [`parallel::ordered_map`] with an explicit worker count (`0` = process
+//! default).
 //!
-//! The paper reports the average of (at least) five runs per data point;
-//! these helpers run a scenario constructor across seeds and aggregate.
+//! * [`run_seeds`] — one constructor over consecutive seeds (the paper
+//!   reports the average of at least five runs per data point).
+//! * [`grid_mean_makespans`] — seed-averaged makespans of a batch of
+//!   constructors in one fan-out.
+//! * [`run_forked`] — one warmup snapshot completed as many branches.
+//! * [`run_forked_grid_cached`] — keyed groups sharing one run each, with
+//!   a cross-call result cache ([`ForkCache`]).
 
 use crate::parallel;
 use crate::results::RunResult;
 use crate::scenario::Scenario;
-use crate::system::{Snapshot, System, SystemConfig};
+use crate::system::{System, SystemConfig};
 use irs_metrics::Summary;
 use irs_sim::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Default repetition count, matching the paper's five-run averages.
-pub const DEFAULT_SEEDS: u64 = 5;
 
 /// A borrowed scenario constructor, the unit of work in a
 /// [`grid_mean_makespans`] batch.
@@ -22,45 +26,13 @@ pub type ScenarioFn<'a> = &'a (dyn Fn(u64) -> Scenario + Sync);
 /// Runs `make(seed)` for `seeds` consecutive seeds starting at
 /// `base_seed`, returning every result in seed order.
 ///
-/// Runs fan out across the process-default worker count (see
+/// Runs fan out across `jobs` workers (`0` = the process default, see
 /// [`parallel::default_jobs`]); results are identical to a sequential run.
-pub fn run_seeds<F>(base_seed: u64, seeds: u64, make: F) -> Vec<RunResult>
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    run_seeds_jobs(base_seed, seeds, 0, make)
-}
-
-/// [`run_seeds`] with an explicit worker count (`0` = process default).
-pub fn run_seeds_jobs<F>(base_seed: u64, seeds: u64, jobs: usize, make: F) -> Vec<RunResult>
+pub fn run_seeds<F>(base_seed: u64, seeds: u64, jobs: usize, make: F) -> Vec<RunResult>
 where
     F: Fn(u64) -> Scenario + Sync,
 {
     parallel::ordered_map(jobs, seeds as usize, |i| make(base_seed + i as u64).run())
-}
-
-/// Mean makespan (ms) of the measured VM across seeded repetitions.
-///
-/// # Panics
-///
-/// Panics if any repetition failed to complete within the horizon.
-pub fn mean_makespan_ms<F>(base_seed: u64, seeds: u64, make: F) -> f64
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    mean_makespan_ms_jobs(base_seed, seeds, 0, make)
-}
-
-/// [`mean_makespan_ms`] with an explicit worker count (`0` = default).
-pub fn mean_makespan_ms_jobs<F>(base_seed: u64, seeds: u64, jobs: usize, make: F) -> f64
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    let samples: Vec<f64> = run_seeds_jobs(base_seed, seeds, jobs, make)
-        .iter()
-        .map(|r| r.measured().makespan_ms())
-        .collect();
-    Summary::of(&samples).mean
 }
 
 /// Mean makespans for a whole batch of scenario constructors in one
@@ -70,6 +42,10 @@ where
 /// Entry `k` of the result is the seed-averaged makespan of `makes[k]`
 /// (job order is constructor-major, seed-minor — canonical and therefore
 /// deterministic).
+///
+/// # Panics
+///
+/// Panics if any run failed to complete within its horizon.
 pub fn grid_mean_makespans(
     base_seed: u64,
     seeds: u64,
@@ -89,15 +65,12 @@ pub fn grid_mean_makespans(
 
 /// One warmup, many branches: builds the scenario, runs it to `warmup`
 /// virtual time once, snapshots, and completes `branches` forked copies
-/// through the worker pool (`jobs` as in [`run_seeds_jobs`]; `0` = process
-/// default).
+/// through the worker pool (`jobs` as in [`run_seeds`]).
 ///
 /// Every branch is bit-identical to a from-scratch run of the same
-/// `(scenario, cfg)` pair — the [`crate::Snapshot`] determinism contract —
-/// so this is the primitive for campaigns whose grid repeats a cell: pay
-/// the shared warmup prefix once instead of once per repeat. Returns the
-/// per-branch results plus the number of events the sharing avoided
-/// re-executing (`warmup events × (branches − 1)`).
+/// `(scenario, cfg)` pair — the [`crate::Snapshot`] determinism contract.
+/// Returns the per-branch results plus the number of events the sharing
+/// avoided re-executing (`warmup events × (branches − 1)`).
 ///
 /// A `warmup` past the run's completion is harmless: the snapshot is then
 /// of the finished state and branches return immediately (still
@@ -119,94 +92,42 @@ pub fn run_forked(
     (results, saved)
 }
 
-/// [`run_forked`] generalized to a whole grid of scenario groups: group
-/// `g` (of `group_sizes.len()`) is warmed up once from `make(g)` and
-/// branched into `group_sizes[g]` forked completions.
-///
-/// Both the warmups and the branches fan out through the worker pool in
-/// one canonical order each (group-major), so results are bit-identical
-/// for every `jobs` value. Returns the per-group branch results plus the
-/// total number of events the sharing avoided re-executing (the sum of
-/// each group's `warmup events × (size − 1)`).
-///
-/// This is the fleet campaign's primitive: hosts with identical tenant
-/// composition are identical simulations, so one warmup serves them all.
-pub fn run_forked_grid<F>(
-    jobs: usize,
-    warmup: SimTime,
-    cfg: &SystemConfig,
-    group_sizes: &[usize],
-    make: F,
-) -> (Vec<Vec<RunResult>>, u64)
-where
-    F: Fn(usize) -> Scenario + Sync,
-{
-    let snaps = parallel::ordered_map(jobs, group_sizes.len(), |g| {
-        let mut sys = System::with_config(make(g), cfg.clone());
-        sys.run_until(warmup);
-        sys.snapshot()
-    });
-    let saved = snaps
-        .iter()
-        .zip(group_sizes)
-        .map(|(s, &n)| {
-            s.events_processed()
-                .saturating_mul(n.saturating_sub(1) as u64)
-        })
-        .sum();
-    // Flatten to one branch fan-out: slot i belongs to group `owner[i]`.
-    let owner: Vec<usize> = group_sizes
-        .iter()
-        .enumerate()
-        .flat_map(|(g, &n)| std::iter::repeat_n(g, n))
-        .collect();
-    let flat = parallel::ordered_map(jobs, owner.len(), |i| snaps[owner[i]].resume().run());
-    let mut grouped: Vec<Vec<RunResult>> = group_sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (i, r) in flat.into_iter().enumerate() {
-        grouped[owner[i]].push(r);
-    }
-    (grouped, saved)
-}
-
 /// Counters of a [`ForkCache`]'s behaviour, cheap to copy out for
 /// reporting. Hits and misses count *groups* (one lookup per group per
-/// [`run_forked_grid_cached`] call), not member branches.
+/// [`run_forked_grid_cached`] call), not member runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkCacheStats {
     /// Groups served entirely from a cached [`RunResult`] (no simulation).
     pub result_hits: u64,
-    /// Groups that reused a cached warmup [`Snapshot`] but had to run one
-    /// completion (result was missing — e.g. evicted separately).
+    /// Always 0: the cache holds no warmup snapshots. Kept so existing
+    /// reports keep their shape.
     pub snapshot_hits: u64,
-    /// Groups with no usable entry: warmup (when enabled) and one
-    /// completion both ran.
+    /// Groups with no cached result: one full run each.
     pub misses: u64,
     /// Entries dropped to stay under the byte budget.
     pub evictions: u64,
-    /// Estimated bytes currently resident (see [`Snapshot::approx_bytes`]
-    /// and [`RunResult::approx_bytes`] for what "estimated" means).
+    /// Estimated bytes currently resident (see [`RunResult::approx_bytes`]
+    /// for what "estimated" means).
     pub resident_bytes: usize,
 }
 
 impl ForkCacheStats {
-    /// Fraction of lookups served from the cache (result or snapshot);
-    /// `NaN` before the first lookup.
+    /// Fraction of lookups served from the cache; `NaN` before the first
+    /// lookup.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.result_hits + self.snapshot_hits;
         hits as f64 / (hits + self.misses) as f64
     }
 }
 
-/// One cached warmup/result pair.
+/// One cached result.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    /// Warmup checkpoint; `None` when the owning call ran from scratch
-    /// (no shared warmup requested).
-    snapshot: Option<Snapshot>,
-    /// Completed-run result; branches of one snapshot are bit-identical,
-    /// so a single result stands for every member of the group.
-    result: Option<Arc<RunResult>>,
-    /// Events the warmup prefix had processed (0 for scratch runs).
+    /// Completed-run result; runs of one key are bit-identical, so a
+    /// single result stands for every member of the group.
+    result: Arc<RunResult>,
+    /// Events the run had processed by the warmup instant (0 when the
+    /// owning call passed no warmup).
     warmup_events: u64,
     /// Estimated resident bytes of this entry.
     bytes: usize,
@@ -214,20 +135,19 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// Cross-call snapshot/result cache for [`run_forked_grid_cached`]: the
+/// Cross-call result cache for [`run_forked_grid_cached`]: the
 /// cross-epoch carry-over store behind the fleet campaign's incremental
 /// mode.
 ///
 /// Keys are caller-chosen `u64`s that must uniquely identify the
 /// `(scenario, config)` pair (the fleet uses its composition seed, which
-/// *is* the scenario seed). Entries hold the warmup [`Snapshot`] and the
-/// completed-run [`RunResult`] for that key; because the snapshot/fork
-/// determinism contract makes every branch bit-identical, one cached
+/// *is* the scenario seed). Each entry holds the completed-run
+/// [`RunResult`] for its key; because runs are deterministic, one cached
 /// result serves any number of future members — reuse cannot change any
 /// table derived from the results.
 ///
 /// The cache is memory-bounded: entry sizes are *estimated* (coarse but
-/// deterministic — see [`Snapshot::approx_bytes`]) and least-recently-used
+/// deterministic — see [`RunResult::approx_bytes`]) and least-recently-used
 /// entries are evicted once the estimate exceeds the budget. All
 /// bookkeeping happens on the driver thread in deterministic order, so
 /// hit/miss/eviction counts are identical for every `--jobs N`.
@@ -292,10 +212,10 @@ impl ForkCache {
 /// Outcome of one [`run_forked_grid_cached`] call.
 ///
 /// `results[g]` is the single result shared by every member of group `g`
-/// (branches are bit-identical by the snapshot determinism contract, so
-/// handing the same `Arc` to each member is observationally equal to
-/// running them all). The counters decompose the *logical* event volume
-/// (`Σ size[g] × results[g].events`) so that
+/// (runs of one key are bit-identical, so handing the same `Arc` to each
+/// member is observationally equal to running them all). The counters
+/// decompose the *logical* event volume (`Σ size[g] × results[g].events`)
+/// so that
 ///
 /// ```text
 /// executed = logical − fork_warmup_saved − events_elided
@@ -306,30 +226,35 @@ impl ForkCache {
 pub struct CachedGrid {
     /// One shared result per group, in input order.
     pub results: Vec<Arc<RunResult>>,
-    /// Warmup events not re-executed thanks to snapshot sharing/caching:
-    /// `warmup_events × (members − warmups run)` summed over groups.
+    /// The warmup-prefix share of the events not re-executed:
+    /// `warmup_events × (members − runs executed)` summed over groups.
     pub fork_warmup_saved: u64,
-    /// Post-warmup events not re-executed thanks to result memoization:
-    /// `(total − warmup) events × (members − completions run)` summed.
+    /// The post-warmup share of the events not re-executed:
+    /// `(total − warmup) events × (members − runs executed)` summed.
     pub events_elided: u64,
-    /// Member runs served by a memoized result instead of a simulation
-    /// (`members − completions run`, summed over groups).
+    /// Member runs served by a shared or memoized result instead of a
+    /// simulation (`members − runs executed`, summed over groups).
     pub runs_elided: u64,
 }
 
-/// [`run_forked_grid`] with a cross-call [`ForkCache`]: group `g` is
-/// identified by `groups[g].0` and has `groups[g].1` members; `make(g)`
+/// Runs a grid of keyed groups with a cross-call [`ForkCache`]: group `g`
+/// is identified by `groups[g].0` and has `groups[g].1` members; `make(g)`
 /// builds its scenario on a miss.
 ///
-/// Per group, at most one warmup and one completion are ever executed —
-/// within a call (members share their group's single result) *and across
-/// calls* (a later call with the same key reuses the cached result, or at
-/// least the cached warmup snapshot). `warmup = None` disables the
-/// snapshot layer: misses run from scratch and only results are cached.
+/// Per group, at most one run is ever executed — within a call (members
+/// share their group's single result) *and across calls* (a later call
+/// with the same key reuses the cached result). Misses fan out through
+/// the worker pool in group order, so results and counters are
+/// bit-identical for every `jobs` value. `warmup` only splits the
+/// accounting: with `Some(w)` each miss records how many events it had
+/// processed by `w` (an uninterrupted `run_until(w)` then `run()`, which
+/// is the same event sequence as one `run()`), and the elided volume is
+/// reported as warmup-prefix ([`CachedGrid::fork_warmup_saved`]) and
+/// post-warmup ([`CachedGrid::events_elided`]) events.
 ///
-/// Keys must be unique within one call, and — like [`run_forked`] — the
-/// shared-result shortcut is sound because branches of one snapshot are
-/// bit-identical to from-scratch runs: reuse is invisible in the results.
+/// Keys must be unique within one call, and must map to one scenario:
+/// the shared-result shortcut is sound only because runs of equal
+/// `(scenario, config)` pairs are bit-identical.
 pub fn run_forked_grid_cached<F>(
     jobs: usize,
     warmup: Option<SimTime>,
@@ -341,12 +266,6 @@ pub fn run_forked_grid_cached<F>(
 where
     F: Fn(usize) -> Scenario + Sync,
 {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Plan {
-        ResultHit,
-        SnapshotHit,
-        Miss,
-    }
     debug_assert!(
         groups.iter().map(|&(k, _)| k).collect::<std::collections::BTreeSet<_>>().len()
             == groups.len(),
@@ -355,66 +274,32 @@ where
 
     // Classify each group against the cache (sequential: deterministic
     // hit/miss order at any worker count).
-    let mut plan = Vec::with_capacity(groups.len());
-    for &(key, _) in groups {
+    let mut miss = Vec::new();
+    for (g, &(key, _)) in groups.iter().enumerate() {
         cache.tick += 1;
-        let p = match cache.entries.get_mut(&key) {
-            Some(e) if e.result.is_some() => {
+        match cache.entries.get_mut(&key) {
+            Some(e) => {
                 e.last_used = cache.tick;
                 cache.stats.result_hits += 1;
-                Plan::ResultHit
             }
-            Some(e) if warmup.is_some() && e.snapshot.is_some() => {
-                e.last_used = cache.tick;
-                cache.stats.snapshot_hits += 1;
-                Plan::SnapshotHit
-            }
-            _ => {
+            None => {
                 cache.stats.misses += 1;
-                Plan::Miss
+                miss.push(g);
             }
-        };
-        plan.push(p);
+        }
     }
 
-    // Warmups for the misses (one canonical fan-out, group order).
-    let miss: Vec<usize> = (0..groups.len()).filter(|&g| plan[g] == Plan::Miss).collect();
-    let fresh_snaps: Vec<Snapshot> = match warmup {
-        Some(w) => parallel::ordered_map(jobs, miss.len(), |i| {
-            let mut sys = System::with_config(make(miss[i]), cfg.clone());
+    // One run per miss (one canonical fan-out, group order), noting the
+    // events processed by the warmup instant on the way.
+    let mut fresh = parallel::ordered_map(jobs, miss.len(), |i| {
+        let mut sys = System::with_config(make(miss[i]), cfg.clone());
+        let warmup_events = warmup.map_or(0, |w| {
             sys.run_until(w);
-            sys.snapshot()
-        }),
-        None => Vec::new(),
-    };
-
-    // One completion per group that lacks a memoized result.
-    enum Job<'a> {
-        Resume(&'a Snapshot),
-        Scratch(usize),
-    }
-    let need_run: Vec<usize> = (0..groups.len()).filter(|&g| plan[g] != Plan::ResultHit).collect();
-    let run_jobs: Vec<Job<'_>> = need_run
-        .iter()
-        .map(|&g| match plan[g] {
-            Plan::SnapshotHit => {
-                let e = &cache.entries[&groups[g].0];
-                Job::Resume(e.snapshot.as_ref().expect("classified as snapshot hit"))
-            }
-            Plan::Miss if warmup.is_some() => {
-                let i = miss.binary_search(&g).expect("miss listed in order");
-                Job::Resume(&fresh_snaps[i])
-            }
-            _ => Job::Scratch(g),
-        })
-        .collect();
-    let mut run_results: std::collections::VecDeque<RunResult> =
-        parallel::ordered_map(jobs, run_jobs.len(), |i| match &run_jobs[i] {
-            Job::Resume(s) => s.resume().run(),
-            Job::Scratch(g) => System::with_config(make(*g), cfg.clone()).run(),
-        })
-        .into();
-    drop(run_jobs);
+            sys.events_processed()
+        });
+        (Arc::new(sys.run()), warmup_events)
+    })
+    .into_iter();
 
     // Assemble results, account savings, and feed the cache.
     let mut out = CachedGrid {
@@ -423,87 +308,36 @@ where
         events_elided: 0,
         runs_elided: 0,
     };
-    let mut fresh_snaps: std::collections::VecDeque<Snapshot> = fresh_snaps.into();
+    let mut miss = miss.into_iter().peekable();
     for (g, &(key, size)) in groups.iter().enumerate() {
         let n = size as u64;
-        match plan[g] {
-            Plan::ResultHit => {
-                let e = &cache.entries[&key];
-                let r = e.result.clone().expect("classified as result hit");
-                out.fork_warmup_saved += n * e.warmup_events;
-                out.events_elided += n * (r.events - e.warmup_events);
-                out.runs_elided += n;
-                out.results.push(r);
-            }
-            Plan::SnapshotHit => {
-                let r = Arc::new(run_results.pop_front().expect("one run per non-hit group"));
-                let e = cache.entries.get_mut(&key).expect("entry just used");
-                out.fork_warmup_saved += n * e.warmup_events;
-                out.events_elided += n.saturating_sub(1) * (r.events - e.warmup_events);
-                out.runs_elided += n.saturating_sub(1);
-                e.bytes += r.approx_bytes();
-                cache.stats.resident_bytes += r.approx_bytes();
-                e.result = Some(r.clone());
-                out.results.push(r);
-            }
-            Plan::Miss => {
-                let r = Arc::new(run_results.pop_front().expect("one run per non-hit group"));
-                let snapshot = warmup.map(|_| fresh_snaps.pop_front().expect("one per miss"));
-                let warmup_events = snapshot.as_ref().map_or(0, |s| s.events_processed());
-                out.fork_warmup_saved += n.saturating_sub(1) * warmup_events;
-                out.events_elided += n.saturating_sub(1) * (r.events - warmup_events);
-                out.runs_elided += n.saturating_sub(1);
-                let bytes =
-                    snapshot.as_ref().map_or(0, |s| s.approx_bytes()) + r.approx_bytes();
-                // A stale entry may exist (e.g. snapshot-only under a
-                // scratch call): replace it without leaking its bytes.
-                if let Some(old) = cache.entries.remove(&key) {
-                    cache.stats.resident_bytes -= old.bytes;
-                }
-                cache.stats.resident_bytes += bytes;
-                cache.entries.insert(
-                    key,
-                    CacheEntry {
-                        snapshot,
-                        result: Some(r.clone()),
-                        warmup_events,
-                        bytes,
-                        last_used: cache.tick,
-                    },
-                );
-                out.results.push(r);
-            }
-        }
+        // Members served without a run: all of them on a hit, all but
+        // one on a miss.
+        let (r, warmup_events, elided) = if miss.next_if_eq(&g).is_some() {
+            let (r, warmup_events) = fresh.next().expect("one run per miss");
+            let bytes = r.approx_bytes();
+            cache.stats.resident_bytes += bytes;
+            cache.entries.insert(
+                key,
+                CacheEntry {
+                    result: r.clone(),
+                    warmup_events,
+                    bytes,
+                    last_used: cache.tick,
+                },
+            );
+            (r, warmup_events, n.saturating_sub(1))
+        } else {
+            let e = &cache.entries[&key];
+            (e.result.clone(), e.warmup_events, n)
+        };
+        out.fork_warmup_saved += elided * warmup_events;
+        out.events_elided += elided * (r.events - warmup_events);
+        out.runs_elided += elided;
+        out.results.push(r);
     }
     cache.evict_to_budget();
     out
-}
-
-/// Mean improvement (%) of a variant over a baseline, both averaged over
-/// the same seeds — the y-axis of Figs 5, 6, 10, 11, 12, 13.
-pub fn mean_improvement_pct<B, V>(base_seed: u64, seeds: u64, baseline: B, variant: V) -> f64
-where
-    B: Fn(u64) -> Scenario + Sync,
-    V: Fn(u64) -> Scenario + Sync,
-{
-    mean_improvement_pct_jobs(base_seed, seeds, 0, baseline, variant)
-}
-
-/// [`mean_improvement_pct`] with an explicit worker count (`0` = default).
-/// Baseline and variant runs share one fan-out (2 × `seeds` jobs).
-pub fn mean_improvement_pct_jobs<B, V>(
-    base_seed: u64,
-    seeds: u64,
-    jobs: usize,
-    baseline: B,
-    variant: V,
-) -> f64
-where
-    B: Fn(u64) -> Scenario + Sync,
-    V: Fn(u64) -> Scenario + Sync,
-{
-    let means = grid_mean_makespans(base_seed, seeds, jobs, &[&baseline, &variant]);
-    irs_metrics::improvement_pct(means[0], means[1])
 }
 
 #[cfg(test)]
@@ -518,7 +352,7 @@ mod tests {
 
     #[test]
     fn run_seeds_produces_one_result_per_seed() {
-        let results = run_seeds(1, 2, quick);
+        let results = run_seeds(1, 2, 0, quick);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.measured().makespan.is_some());
@@ -559,37 +393,19 @@ mod tests {
     }
 
     #[test]
-    fn forked_grid_matches_scratch_per_group() {
-        let make = |g: usize| {
-            // Two distinct groups: vanilla and IRS of the same workload.
-            let strat = if g == 0 { Strategy::Vanilla } else { Strategy::Irs };
-            Scenario::fig5_style("EP", 1, strat, 11)
-        };
-        let (grouped, saved) = run_forked_grid(
-            2,
-            SimTime::from_millis(40),
-            &SystemConfig::default(),
-            &[2, 3],
-            make,
-        );
-        assert_eq!(grouped[0].len(), 2);
-        assert_eq!(grouped[1].len(), 3);
-        assert!(saved > 0, "two groups of >1 branches must share warmups");
-        for (g, branches) in grouped.iter().enumerate() {
-            let scratch = format!("{:?}", make(g).run());
-            for b in branches {
-                assert_eq!(format!("{b:?}"), scratch);
-            }
-        }
-    }
-
-    #[test]
     fn grid_matches_per_constructor_means() {
         let irs = |seed| Scenario::fig5_style("EP", 1, Strategy::Irs, seed);
         let grid = grid_mean_makespans(1, 2, 2, &[&quick, &irs]);
         assert_eq!(grid.len(), 2);
-        assert_eq!(grid[0], mean_makespan_ms_jobs(1, 2, 1, quick));
-        assert_eq!(grid[1], mean_makespan_ms_jobs(1, 2, 1, irs));
+        let seed_mean = |make: ScenarioFn<'_>| {
+            let samples: Vec<f64> = run_seeds(1, 2, 1, make)
+                .iter()
+                .map(|r| r.measured().makespan_ms())
+                .collect();
+            Summary::of(&samples).mean
+        };
+        assert_eq!(grid[0], seed_mean(&quick));
+        assert_eq!(grid[1], seed_mean(&irs));
     }
 
     /// Two groups keyed by seed; `make` mirrors the fleet's
@@ -605,10 +421,11 @@ mod tests {
     #[test]
     fn cached_grid_matches_scratch_and_accounts_exactly() {
         let groups = cached_groups();
+        let warmup = SimTime::from_millis(40);
         let mut cache = ForkCache::new(1 << 30);
         let out = run_forked_grid_cached(
             2,
-            Some(SimTime::from_millis(40)),
+            Some(warmup),
             &SystemConfig::default(),
             &groups,
             |i| cached_make(i, &groups),
@@ -619,11 +436,11 @@ mod tests {
             let scratch = format!("{:?}", quick(key).run());
             assert_eq!(format!("{:?}", *out.results[g]), scratch);
         }
-        // First call: every group misses, runs one warmup + one
-        // completion, and shares the result among its members.
+        // First call: every group misses, runs once, and shares the
+        // result among its members.
         let stats = cache.stats();
         assert_eq!(stats.misses, 2);
-        assert_eq!(stats.result_hits + stats.snapshot_hits, 0);
+        assert_eq!(stats.result_hits, 0);
         assert_eq!(out.runs_elided, (2 - 1) + (3 - 1));
         assert!(out.fork_warmup_saved > 0);
         assert!(out.events_elided > 0);
@@ -636,6 +453,20 @@ mod tests {
         // What actually ran: each group's full run once (warmup included).
         let executed: u64 = out.results.iter().map(|r| r.events).sum();
         assert_eq!(executed, logical - out.fork_warmup_saved - out.events_elided);
+        // Only results are resident: no warmup state is kept.
+        let result_bytes: usize = out.results.iter().map(|r| r.approx_bytes()).sum();
+        assert_eq!(stats.resident_bytes, result_bytes);
+        // The warmup share of the elided volume is what an independent
+        // run had processed by the warmup instant, once per elided member.
+        let warmup_saved: u64 = groups
+            .iter()
+            .map(|&(key, n)| {
+                let mut sys = System::with_config(quick(key), SystemConfig::default());
+                sys.run_until(warmup);
+                (n as u64 - 1) * sys.events_processed()
+            })
+            .sum();
+        assert_eq!(out.fork_warmup_saved, warmup_saved);
     }
 
     #[test]
@@ -651,6 +482,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.result_hits, 2, "second call must be memoized");
         assert_eq!(stats.misses, 2, "only the first call missed");
+        assert_eq!(stats.snapshot_hits, 0, "the cache holds no snapshots");
         // Every member run is elided, and the whole logical volume is
         // split between warmup savings and elision.
         assert_eq!(second.runs_elided, 2 + 3);

@@ -1462,7 +1462,7 @@ const REPLAY_TRACE_CAP: usize = 4096;
 /// Deliberately *not* carried: trace-ring contents (a resumed system
 /// starts with empty rings of the same configuration), the sanitizer's
 /// rolling state (rebuilt at the resume instant via
-/// [`Checker::new`](crate::check::Checker)).
+/// `Checker::new`).
 ///
 /// `Snapshot` is `Send + Sync`: one warmup snapshot can be resumed
 /// concurrently from many worker threads (`irs_core::runner::run_forked`),
@@ -1509,13 +1509,13 @@ impl Snapshot {
     }
 
     /// Coarse, deterministic estimate of this snapshot's resident bytes,
-    /// for cache budgeting ([`crate::runner::ForkCache`]).
+    /// for reporting what one checkpoint costs to hold.
     ///
     /// This is *not* an exact heap measurement: per-event, per-task, and
     /// per-vCPU costs are flat constants chosen to over-approximate the
     /// real structures (timer-wheel slab slots, guest CFS state, exec
-    /// contexts, runstate trackers). What matters for eviction is that the
-    /// estimate is deterministic and scales monotonically with state size.
+    /// contexts, runstate trackers). The estimate is deterministic and
+    /// scales monotonically with state size.
     pub fn approx_bytes(&self) -> usize {
         /// Timer-wheel fixed geometry (slot vectors + occupancy bitmaps).
         const QUEUE_FIXED: usize = 32 << 10;

@@ -12,19 +12,14 @@
 //! tenant's solo useful-work rate divided by its rate in the contended
 //! run.
 //!
-//! # Warmup sharing
+//! # Equal compositions
 //!
 //! Hosts whose tenant composition (multiset of tenant kinds) is
 //! identical are *identical simulations*: the scenario seed derives from
-//! the composition, so their runs are bit-for-bit equal. The campaign
-//! groups hosts by composition and uses
-//! [`irs_core::runner::run_forked_grid`] to pay each group's warmup
-//! prefix once, branching the snapshot into one completion per member
-//! host. `FleetConfig::share_warmup = false` runs every host from
-//! scratch instead — same tables, more events (the determinism tests
-//! compare the two). The statistical meaning is unchanged either way:
-//! equal-composition hosts are exchangeable by construction, since
-//! placement never feeds back into a host's *internal* schedule.
+//! the composition, so their runs are bit-for-bit equal. Counting each
+//! member as its own sample is still sound: equal-composition hosts are
+//! exchangeable by construction, since placement never feeds back into a
+//! host's *internal* schedule.
 //!
 //! # Incremental epochs
 //!
@@ -40,17 +35,18 @@
 //!   `Arc<RunResult>` per arm and skip simulation entirely, immune to
 //!   cache eviction.
 //! * **Composition-keyed cache** — groups not resolved by carry go
-//!   through [`irs_core::runner::run_forked_grid_cached`], whose
-//!   [`ForkCache`] memoizes warmup snapshots and completed results by
-//!   composition seed *across epochs, arms, and cells* under a byte
-//!   budget (`FleetConfig::cache_bytes`).
+//!   through [`irs_core::runner::run_forked_grid_cached`]: one run per
+//!   group shared by its members, and a [`ForkCache`] that memoizes
+//!   completed results by composition seed *across epochs, arms, and
+//!   cells* under a byte budget (`FleetConfig::cache_bytes`).
 //!
 //! Reuse is observationally invisible — the SLO tables are bit-identical
-//! to a full re-simulation — because branches of one snapshot are
-//! bit-identical to from-scratch runs (the snapshot determinism
-//! contract) and samples are absorbed in the same order either way. The
-//! elision counters (`runs_elided`, `events_elided`, `hosts_carried`)
-//! together with `fork_warmup_saved` decompose the logical event volume:
+//! to the full mode (`incremental: false`), which runs every host from
+//! scratch — because equal-seed runs are bit-identical and samples are
+//! absorbed in the same order either way. The elision counters
+//! (`runs_elided`, `events_elided`, `hosts_carried`) together with
+//! `fork_warmup_saved` (the warmup-prefix share of the elided volume)
+//! decompose the logical event volume:
 //! `executed = events − fork_warmup_saved − events_elided` always holds.
 //!
 //! # Determinism
@@ -63,7 +59,7 @@
 
 use crate::placement::{PlacementIndex, PlacementPolicy};
 use crate::tenant::{AdversaryMix, Tenant, TenantKind};
-use irs_core::runner::{run_forked_grid, run_forked_grid_cached, ForkCache, ForkCacheStats};
+use irs_core::runner::{run_forked_grid_cached, ForkCache, ForkCacheStats};
 use irs_core::{
     parallel, RunResult, Scenario, Strategy, SystemConfig, VmScenario, DEGRADATION_MARGIN,
 };
@@ -93,7 +89,8 @@ pub struct FleetConfig {
     pub overcommit: f64,
     /// Churn rounds; each occupied host runs once per epoch per arm.
     pub epochs: u64,
-    /// Virtual warmup prefix shared across equal-composition hosts.
+    /// Virtual warmup prefix: the incremental accounting reports elided
+    /// events before this instant as `fork_warmup_saved`.
     pub warmup: SimTime,
     /// Virtual run length of one epoch (includes the warmup prefix).
     pub epoch_horizon: SimTime,
@@ -107,16 +104,14 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Worker threads (0 = process default); tables are jobs-invariant.
     pub jobs: usize,
-    /// Share warmups across equal-composition hosts via snapshot/fork.
-    pub share_warmup: bool,
-    /// Reuse results across epochs, arms, and cells: clean (churn-free)
-    /// hosts carry their previous result forward, and a
-    /// composition-keyed snapshot/result cache serves the rest. Tables
-    /// are bit-identical either way; `false` re-simulates everything
+    /// Reuse results across hosts, epochs, arms, and cells: clean
+    /// (churn-free) hosts carry their previous result forward, and a
+    /// composition-keyed result cache serves the rest. Tables are
+    /// bit-identical either way; `false` runs every host from scratch
     /// (the reference mode the parity tests compare against).
     pub incremental: bool,
-    /// Estimated-byte budget for the incremental snapshot/result cache
-    /// (ignored when `incremental` is off).
+    /// Estimated-byte budget for the incremental result cache (ignored
+    /// when `incremental` is off).
     pub cache_bytes: usize,
 }
 
@@ -135,7 +130,6 @@ impl Default for FleetConfig {
             depart_chance: 0.35,
             seed: 1,
             jobs: 0,
-            share_warmup: true,
             incremental: true,
             cache_bytes: 256 << 20,
         }
@@ -172,14 +166,15 @@ pub struct FleetReport {
     /// One SLO table per adversary mix, then the overcommit sweep table
     /// (if enabled).
     pub tables: Vec<Table>,
-    /// Events the snapshot/fork warmup sharing avoided re-executing.
+    /// Warmup-prefix events of the host runs the cache layer shared or
+    /// memoized instead of re-executing (0 in full mode).
     pub fork_warmup_saved: u64,
-    /// Post-warmup events not re-executed thanks to carry-over and result
-    /// memoization. `events − fork_warmup_saved − events_elided` is what
-    /// the campaign actually simulated.
+    /// All other events not re-executed thanks to carry-over and result
+    /// sharing. `events − fork_warmup_saved − events_elided` is what the
+    /// campaign actually simulated.
     pub events_elided: u64,
-    /// Logical fleet event volume (sum over all host runs; shared
-    /// warmup prefixes counted once per host they served).
+    /// Logical fleet event volume (sum over all host runs, shared or
+    /// memoized results counted once per host they served).
     pub events: u64,
     /// Host runs in the logical grid (hosts × epochs × arms × cells,
     /// occupied hosts only) — identical in incremental and full modes.
@@ -194,7 +189,7 @@ pub struct FleetReport {
     pub tenants_placed: u64,
     /// Tenant arrivals rejected because no host had capacity.
     pub tenants_rejected: u64,
-    /// Final snapshot/result cache counters (all zero in full mode).
+    /// Final result-cache counters (all zero in full mode).
     pub cache: ForkCacheStats,
     /// Logical-vs-executed accounting per mix column (not part of
     /// `tables` so incremental/full SLO parity can be compared directly).
@@ -243,7 +238,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Scenario seed for a host composition under one strategy arm. Depends
 /// only on (fleet seed, arm, composition): equal-composition hosts are
-/// identical runs — the invariant warmup sharing relies on.
+/// identical runs — the invariant result sharing relies on.
 fn comp_seed(fleet_seed: u64, arm: usize, comp: &[u8]) -> u64 {
     let mut bytes = fleet_seed.to_le_bytes().to_vec();
     bytes.push(arm as u8);
@@ -436,7 +431,6 @@ fn run_cell(
             }
         }
         let comps: Vec<&Vec<u8>> = groups.keys().collect();
-        let sizes: Vec<usize> = groups.values().map(|m| m.len()).collect();
         let members: Vec<&Vec<usize>> = groups.values().collect();
 
         // Mean steal fraction per host across the two arms, for the
@@ -447,7 +441,7 @@ fn run_cell(
             if cfg.incremental {
                 // Resolve each group: clean-host carry first (free and
                 // eviction-immune), then the composition-keyed cache,
-                // then a fresh warmup + completion for the rest.
+                // then one fresh run for the rest.
                 let mut shared: Vec<Option<Arc<RunResult>>> = vec![None; comps.len()];
                 for (g, slot) in shared.iter_mut().enumerate() {
                     let carried = members[g]
@@ -455,7 +449,7 @@ fn run_cell(
                         .filter(|&&h| !dirty[h])
                         .find_map(|&h| carry[h][arm].clone());
                     if let Some(r) = carried {
-                        let n = sizes[g] as u64;
+                        let n = members[g].len() as u64;
                         out.hosts_carried += n;
                         out.runs_elided += n;
                         out.events_elided += n * r.events;
@@ -466,11 +460,11 @@ fn run_cell(
                     (0..comps.len()).filter(|&g| shared[g].is_none()).collect();
                 let keyed: Vec<(u64, usize)> = pending
                     .iter()
-                    .map(|&g| (comp_seed(cfg.seed, arm, comps[g]), sizes[g]))
+                    .map(|&g| (comp_seed(cfg.seed, arm, comps[g]), members[g].len()))
                     .collect();
                 let grid = run_forked_grid_cached(
                     cfg.jobs,
-                    cfg.share_warmup.then_some(cfg.warmup),
+                    Some(cfg.warmup),
                     &SystemConfig::default(),
                     &keyed,
                     |i| scenario_for(comps[pending[i]], arm, cfg),
@@ -504,45 +498,31 @@ fn run_cell(
                     }
                 }
             } else {
-                let make = |g: usize| scenario_for(comps[g], arm, cfg);
-                let (grouped, saved) = if cfg.share_warmup {
-                    run_forked_grid(cfg.jobs, cfg.warmup, &SystemConfig::default(), &sizes, make)
-                } else {
-                    // Same fan-out shape, every host from scratch.
-                    // Branches are bit-identical to the forked path by
-                    // the snapshot determinism contract.
-                    let owner: Vec<usize> = sizes
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(g, &n)| std::iter::repeat_n(g, n))
-                        .collect();
-                    let flat =
-                        parallel::ordered_map(cfg.jobs, owner.len(), |i| make(owner[i]).run());
-                    let mut grouped: Vec<Vec<_>> = sizes.iter().map(|_| Vec::new()).collect();
-                    for (i, r) in flat.into_iter().enumerate() {
-                        grouped[owner[i]].push(r);
-                    }
-                    (grouped, 0)
-                };
-                out.fork_warmup_saved += saved;
-
+                // Reference mode: every host from scratch, sharing no
+                // code with the cache path it checks.
+                let hosts: Vec<(usize, usize)> = members
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(g, m)| m.iter().map(move |&h| (g, h)))
+                    .collect();
+                let results = parallel::ordered_map(cfg.jobs, hosts.len(), |i| {
+                    scenario_for(comps[hosts[i].0], arm, cfg).run()
+                });
                 let samples = &mut out.arms[arm];
-                for (g, branch_results) in grouped.iter().enumerate() {
+                for (&(g, host), r) in hosts.iter().zip(&results) {
                     let comp = comps[g];
                     let has_adversary = comp
                         .iter()
                         .any(|&kid| TenantKind::ALL[kid as usize].is_adversarial());
-                    for (&host, r) in members[g].iter().zip(branch_results) {
-                        absorb_host_run(
-                            samples,
-                            comp,
-                            has_adversary,
-                            solo,
-                            arm,
-                            r,
-                            &mut steal_frac[host],
-                        );
-                    }
+                    absorb_host_run(
+                        samples,
+                        comp,
+                        has_adversary,
+                        solo,
+                        arm,
+                        r,
+                        &mut steal_frac[host],
+                    );
                 }
             }
         }

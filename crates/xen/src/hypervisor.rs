@@ -104,7 +104,7 @@ impl Hypervisor {
 
     /// Coarse, deterministic estimate of this hypervisor's heap bytes
     /// (arena vectors plus per-pCPU runqueue slack) — a building block of
-    /// snapshot-cache budgeting in `irs-core`. Trace-ring contents are
+    /// the snapshot size estimate in `irs-core`. Trace-ring contents are
     /// excluded: snapshots clone rings configuration-only.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;

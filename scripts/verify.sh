@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, a lint gate, the
+# Tier-1 verification: release build, full test suite, a lint gate, a
+# rustdoc gate (every doc warning, e.g. a broken intra-doc link, fails), the
 # benchmark's own build and self-test (perfbench is a separate
 # workspace, so the workspace build never compiles it), a checked
 # strategy sweep (online invariant sanitizer armed), a parallel-runner
@@ -9,7 +10,7 @@
 # (16-host datacenter with churn and adversarial tenants; asserts the
 # degradation contract per cell and ratchets its events/sec), a
 # fleet incremental-parity gate (--parity re-runs the smoke campaign
-# with the dirty-host carry-over and snapshot/result cache disabled and
+# with the dirty-host carry-over and result cache disabled and
 # asserts bit-identical SLO tables), a 1000-host fleet-scale pass
 # (ratchets *effective* events/sec — logical volume per wall second —
 # and enforces the deterministic >=5x incrementality floor), and a
@@ -37,6 +38,9 @@ cargo test --workspace -q
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== perfbench self-test (benchmark build + references) =="
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
