@@ -14,11 +14,10 @@
 //! (`io_latency`, `ablate_strict_co`, `stacking_baseline`,
 //! `ablate_pingpong`, `ablate_idle_first`, `ablate_sa_delay`,
 //! `ablate_pull`, `ablate_slice`, `ablate_pv_spin`, `chaos`,
-//! `fork_smoke` — also reachable as the `--fork-smoke` flag), `perf`
-//! (engine self-benchmark; writes BENCH_runner.json), `fleet` (the
-//! datacenter-scale fleet campaign; `--smoke` shrinks it for CI), and
-//! `serving` (the open-loop latency-SLO serving campaign; `--smoke`
-//! likewise).
+//! `fork_smoke`), `perf` (engine self-benchmark; writes
+//! BENCH_runner.json), `fleet` (the datacenter-scale fleet campaign;
+//! `--smoke` shrinks it for CI), and `serving` (the open-loop
+//! latency-SLO serving campaign; `--smoke` likewise).
 //!
 //! `--jobs N` sets the worker-thread count for the run fan-out (default:
 //! all available cores). Tables are identical for every worker count.
@@ -27,28 +26,30 @@
 //! scheduler invariants after every event and panics with a trace dump on
 //! the first violation. Tables are identical with and without it.
 //! `--hosts N` rescales the fleet campaign to an `N`-host fleet (tenant
-//! load scales along); its history phase is `fleet-scale` and its
-//! `--check-perf` gate ratchets *effective* events/sec (logical volume
-//! per wall second) plus a deterministic ≥5× incrementality floor.
-//! `--parity` re-runs the fleet campaign with the incremental engine
-//! disabled and asserts the SLO tables are bit-identical (no history,
-//! no ratchet — it is a correctness gate).
-//! `--seeds N` and `--hosts N` must be positive.
-//! `--check-perf` turns `perf` into a regression gate: exit non-zero if
-//! the speedup (sequential over parallel) falls below its noise-band
-//! floor (0.85 — the true ratio is ~1.0 on 1-core boxes), the queue
-//! micro-benchmark drops below its absolute floor, or any phase
-//! regresses past the ratchet tolerance against the best matching
-//! `BENCH_history.jsonl` record (same phase / worker count / host core
-//! count). Each `perf` invocation appends one
-//! line per measured phase to `BENCH_history.jsonl` for trend tracking;
-//! `fleet` and `serving` append one record per campaign (phases `fleet`
-//! / `fleet-smoke` / `serving` / `serving-smoke`) and `--check-perf`
-//! ratchets their events/sec the same way — except under `--check`,
-//! where the sanitizer tax makes runs incomparable and the campaigns
-//! neither log nor ratchet.
+//! load scales along). `--parity` re-runs the fleet campaign with the
+//! incremental engine disabled and asserts the SLO tables are
+//! bit-identical (a correctness gate). `--seeds N` and `--hosts N` must
+//! be positive.
+//!
+//! `perf`, `fleet` and `serving` share one record-and-ratchet path
+//! ([`irs_bench::history`]): each run appends one `BENCH_history.jsonl`
+//! record per measured phase — `perf`'s `ticked` and `parallel` passes
+//! plus its `queue` micro-benchmark, and one `fleet` / `fleet-smoke` /
+//! `fleet-scale` / `serving` / `serving-smoke` record per campaign.
+//! `--check-perf` turns them into a regression gate: exit non-zero if
+//! any phase regresses past the ratchet tolerance against the best
+//! matching record (same phase / worker count / host core count, and
+//! fleet size for fleet phases), or if a floor fails — `perf`'s speedup
+//! (sequential over parallel) below its noise-band floor (0.85 — the
+//! true ratio is ~1.0 on 1-core boxes) or its queue micro-benchmark below
+//! its absolute floor, or `fleet-scale` (which ratchets *effective*
+//! events/sec, logical volume per wall second) below its deterministic
+//! ≥5× incrementality floor. Under `--check` or `--parity` the sanitizer
+//! tax or the full re-simulation makes runs incomparable: they neither
+//! log nor ratchet.
 
 use irs_bench::fig5_6::Interference;
+use irs_bench::history::{self, Phase};
 use irs_bench::Opts;
 use irs_metrics::Table;
 use std::time::Instant;
@@ -164,35 +165,26 @@ fn run_experiment(exp: &str, opts: Opts) -> Vec<Table> {
     }
 }
 
-/// The current commit and unix time, stamped into every history record.
-fn commit_and_timestamp() -> (String, u64) {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    (commit, timestamp)
-}
-
-/// Appends records to `BENCH_history.jsonl` (append-only trend log: one
-/// line per measured phase, each tagged with commit, timestamp, and
-/// configuration — including the host core count — so `--check-perf`
-/// can ratchet against matching records only). History is best-effort —
-/// a read-only checkout warns instead of failing the benchmark.
-fn append_history(lines: &str) {
-    let appended = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open("BENCH_history.jsonl")
-        .and_then(|mut f| std::io::Write::write_all(&mut f, lines.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("cannot append to BENCH_history.jsonl: {e}");
+/// The one record-and-ratchet step after every `perf`, `fleet` and
+/// `serving` run ([`history::log_and_gate`] on `BENCH_history.jsonl`);
+/// under `--check-perf`, exits non-zero on any failed floor or ratchet.
+/// `--check` (the sanitizer's tax) and `--parity` (a full re-simulation)
+/// make runs incomparable to normal records: they are neither logged nor
+/// ratcheted, but their floors still gate.
+fn log_and_gate(check_perf: bool, parity: bool, phases: &[Phase], floors: Vec<String>) {
+    let comparable = !(irs_core::check::check_enabled() || parity);
+    let failures = history::log_and_gate(
+        std::path::Path::new("BENCH_history.jsonl"),
+        comparable,
+        phases,
+        floors,
+    );
+    println!();
+    if check_perf && !failures.is_empty() {
+        for f in &failures {
+            eprintln!("perf regression: {f}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -240,9 +232,6 @@ fn main() {
             "--hosts" => hosts = Some(positive(it.next())),
             // Incremental-vs-full bit-identity gate for the fleet.
             "--parity" => parity = true,
-            // Flag alias so CI scripts read as "run the smoke" rather
-            // than an experiment name; equivalent to `fork_smoke`.
-            "--fork-smoke" => experiments.push("fork_smoke".to_string()),
             "--csv" => {
                 csv_dir = Some(it.next().unwrap_or_else(|| usage()));
             }
@@ -278,6 +267,8 @@ fn main() {
         }
     }
 
+    // The worker count the campaigns' history records are keyed on.
+    let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
     for exp in queue {
         let start = Instant::now();
         if exp == "perf" {
@@ -287,26 +278,8 @@ fn main() {
                 eprintln!("cannot write BENCH_runner.json: {e}");
                 std::process::exit(1);
             }
-            // Read the trend log *before* appending so the ratchet
-            // compares against prior invocations, not this one.
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&report.to_history_lines(
-                &commit,
-                timestamp,
-                irs_bench::perf::host_cores(),
-            ));
             eprintln!("[perf done in {:.1}s]", start.elapsed().as_secs_f64());
-            println!();
-            if check_perf {
-                let failures = report.check_perf(&history);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
+            log_and_gate(check_perf, parity, &report.phases(), report.floors());
             continue;
         }
         if exp == "fleet" {
@@ -356,32 +329,12 @@ fn main() {
                 outcome.report.tenants_rejected,
                 if parity { "; incremental parity OK" } else { "" },
             );
-            // Sanitized runs pay the invariant-checking tax and parity
-            // runs pay a full re-simulation, so neither is comparable to
-            // normal records: neither log them nor ratchet against them
-            // (same split as `perf` vs the --check sweeps in
-            // scripts/verify.sh).
-            if irs_core::check::check_enabled() || parity {
-                println!();
-                continue;
-            }
-            let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
-            let cores = irs_bench::perf::host_cores();
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&irs_bench::fleet::history_line(
-                &outcome, &commit, timestamp, jobs, cores,
-            ));
-            println!();
-            if check_perf {
-                let failures = irs_bench::fleet::check_fleet_perf(&outcome, &history, jobs, cores);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
+            log_and_gate(
+                check_perf,
+                parity,
+                &[irs_bench::fleet::history_phase(&outcome, jobs)],
+                irs_bench::fleet::floors(&outcome),
+            );
             continue;
         }
         if exp == "serving" {
@@ -402,30 +355,12 @@ fn main() {
                 outcome.events,
                 irs_bench::serving::events_per_sec(&outcome),
             );
-            // Same record/ratchet split as `fleet`: sanitized runs are
-            // incomparable, so they neither log nor ratchet.
-            if irs_core::check::check_enabled() {
-                println!();
-                continue;
-            }
-            let jobs = irs_core::parallel::resolve_jobs(opts.jobs);
-            let cores = irs_bench::perf::host_cores();
-            let history = std::fs::read_to_string("BENCH_history.jsonl").unwrap_or_default();
-            let (commit, timestamp) = commit_and_timestamp();
-            append_history(&irs_bench::serving::history_line(
-                &outcome, &commit, timestamp, jobs, cores,
-            ));
-            println!();
-            if check_perf {
-                let failures =
-                    irs_bench::serving::check_serving_perf(&outcome, &history, jobs, cores);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("perf regression: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
+            log_and_gate(
+                check_perf,
+                parity,
+                &[irs_bench::serving::history_phase(&outcome, jobs)],
+                Vec::new(),
+            );
             continue;
         }
         let tables = run_experiment(&exp, opts);

@@ -1,21 +1,19 @@
 //! `figures perf` — self-benchmark and regression gate of the simulation
 //! engine.
 //!
-//! Runs a fixed mix of scenarios three times over the same grid:
+//! Runs a fixed mix of scenarios twice over the same grid:
 //!
 //! 1. **ticked sequential** — `jobs = 1`: the baseline cost of
 //!    dispatching every event (the phase keeps its historical name);
 //! 2. **parallel** — `opts.jobs` workers on the persistent pool: the
 //!    configuration `figures --jobs N` runs;
-//! 3. **forked** — parallel again, but the grid's repeated cells share
-//!    one warmup each: every distinct `(scenario, seed)` runs to a fixed
-//!    virtual time once, is snapshotted, and the repeats resume from the
-//!    [`irs_core::Snapshot`] instead of re-simulating the prefix.
 //!
-//! The engine is deterministic and snapshot forking is bit-exact, so all
-//! three passes must produce bit-identical results — the harness asserts
-//! it (`Debug` rendering, which is shortest-roundtrip for every float)
-//! before reporting. The headline `speedup` is sequential over parallel,
+//! plus a **queue** micro-benchmark of the timer wheel.
+//!
+//! The engine is deterministic, so both passes must produce bit-identical
+//! results — the harness asserts it (`Debug` rendering, which is
+//! shortest-roundtrip for every float) before reporting. The headline
+//! `speedup` is sequential over parallel,
 //! which the `--check-perf` regression gate holds at ≥ `SPEEDUP_FLOOR`
 //! (single-core CI boxes cannot promise thread-level scaling — the true
 //! ratio there sits at ~1.0 — but the pool must never make the engine
@@ -35,13 +33,14 @@
 //! used to fail on commits that touched no engine code at all.
 //!
 //! The report serializes to `BENCH_runner.json` (per-phase walls,
-//! speedups, `fork_warmup_saved`);
-//! `scripts/verify.sh` fills in the trailing `verify_wall_s` field.
-//! `figures perf` also appends one line per invocation to
-//! `BENCH_history.jsonl` for trend tracking.
+//! speedup, throughputs); `scripts/verify.sh` fills in the trailing
+//! `verify_wall_s` field. Its three [`PerfReport::phases`] — `ticked`,
+//! `parallel`, `queue` — go through the shared
+//! [`crate::history`] record-and-ratchet path.
 
+use crate::history::Phase;
 use crate::Opts;
-use irs_core::{parallel, Scenario, Snapshot, Strategy, System, SystemConfig};
+use irs_core::{parallel, Scenario, Strategy};
 use irs_sim::{EventQueue, SimTime};
 use std::time::Instant;
 
@@ -50,23 +49,15 @@ use std::time::Instant;
 pub struct PerfReport {
     /// Independent simulation runs in the timed grid.
     pub runs: usize,
-    /// Discrete events processed across the grid (identical in all three
+    /// Discrete events processed across the grid (identical in both
     /// passes).
     pub events: u64,
     /// Wall-clock of the sequential pass, seconds.
     pub ticked_wall_s: f64,
     /// Wall-clock of the parallel pass, seconds.
     pub parallel_wall_s: f64,
-    /// Wall-clock of the forked pass (parallel with per-cell shared
-    /// warmups), seconds. Excludes the warmup/snapshot prologue —
-    /// that is the cost the sharing pays once, not per branch.
-    pub forked_wall_s: f64,
-    /// Worker count the parallel and forked passes ran with.
+    /// Worker count the parallel pass ran with.
     pub parallel_jobs: usize,
-    /// Events the forked pass avoided re-executing: per distinct cell,
-    /// warmup events × (repeats − 1). Zero when the grid has no repeats
-    /// (nothing to share).
-    pub fork_warmup_saved: u64,
     /// Event-queue micro-benchmark: schedule/cancel/pop operations per
     /// second under a churn pattern that keeps the slab and tombstone
     /// machinery hot.
@@ -90,106 +81,56 @@ impl PerfReport {
         self.ticked_wall_s / self.parallel_wall_s.max(1e-9)
     }
 
-    /// What warmup sharing buys on top of the parallel configuration:
-    /// parallel over forked wall-clock.
-    pub fn forked_speedup(&self) -> f64 {
-        self.parallel_wall_s / self.forked_wall_s.max(1e-9)
-    }
-
-    /// Forked-pass throughput in simulation events per second. `events`
-    /// counts the full grid (what the pass *delivers*), so sharing the
-    /// warmup prefix shows up here as throughput above the parallel pass.
-    pub fn forked_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.forked_wall_s.max(1e-9)
-    }
-
     /// The `BENCH_runner.json` payload. `verify_wall_s` is emitted null;
     /// `scripts/verify.sh` substitutes the measured value.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"runs\": {},\n  \"events\": {},\n  \"ticked_wall_s\": {:.6},\n  \
              \"parallel_wall_s\": {:.6},\n  \
-             \"forked_wall_s\": {:.6},\n  \"parallel_jobs\": {},\n  \"speedup\": {:.3},\n  \
-             \"forked_speedup\": {:.3},\n  \
-             \"fork_warmup_saved\": {},\n  \
+             \"parallel_jobs\": {},\n  \"speedup\": {:.3},\n  \
              \"ticked_events_per_sec\": {:.0},\n  \"parallel_events_per_sec\": {:.0},\n  \
-             \"forked_events_per_sec\": {:.0},\n  \
              \"queue_ops_per_sec\": {:.0},\n  \"verify_wall_s\": null\n}}\n",
             self.runs,
             self.events,
             self.ticked_wall_s,
             self.parallel_wall_s,
-            self.forked_wall_s,
             self.parallel_jobs,
             self.speedup(),
-            self.forked_speedup(),
-            self.fork_warmup_saved,
             self.ticked_events_per_sec(),
             self.parallel_events_per_sec(),
-            self.forked_events_per_sec(),
             self.queue_ops_per_sec,
         )
     }
 
-    /// The `BENCH_history.jsonl` records for one invocation: one line per
-    /// measured phase, each self-describing via `phase` / `jobs` /
-    /// `cores` / `timestamp`. Earlier history lines carried only the
-    /// parallel-phase throughput, which made two entries for the same
-    /// commit indistinguishable; `--check-perf` ratchets each phase
-    /// against matching records only.
-    /// `cores` is the recording host's core count ([`host_cores`]): a
-    /// throughput measured on a multi-core box must never become the
-    /// ratchet baseline for a 1-core container, or vice versa.
-    pub fn to_history_lines(&self, commit: &str, timestamp: u64, cores: usize) -> String {
-        let head = |phase: &str, jobs: usize| {
-            format!(
-                "{{\"commit\": \"{commit}\", \"timestamp\": {timestamp}, \
-                 \"phase\": \"{phase}\", \"jobs\": {jobs}, \"cores\": {cores}"
-            )
+    /// The measured phases, one `BENCH_history.jsonl` record each:
+    /// `ticked` and `parallel` ratchet events/sec, `queue` ratchets
+    /// ops/sec.
+    pub fn phases(&self) -> Vec<Phase> {
+        let phase = |name, jobs, metric, current: f64| Phase {
+            name,
+            jobs,
+            hosts: None,
+            metric,
+            current,
+            fields: vec![(metric, format!("{current:.0}"))],
         };
-        format!(
-            "{}, \"events_per_sec\": {:.0}}}\n\
-             {}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}\n\
-             {}, \"events_per_sec\": {:.0}, \"fork_warmup_saved\": {}}}\n\
-             {}, \"ops_per_sec\": {:.0}}}\n",
-            head("ticked", 1),
-            self.ticked_events_per_sec(),
-            head("parallel", self.parallel_jobs),
+        let mut parallel = phase(
+            "parallel",
+            self.parallel_jobs,
+            "events_per_sec",
             self.parallel_events_per_sec(),
-            self.speedup(),
-            head("forked", self.parallel_jobs),
-            self.forked_events_per_sec(),
-            self.fork_warmup_saved,
-            head("queue", 1),
-            self.queue_ops_per_sec,
-        )
+        );
+        parallel.fields.push(("speedup", format!("{:.3}", self.speedup())));
+        vec![
+            phase("ticked", 1, "events_per_sec", self.ticked_events_per_sec()),
+            parallel,
+            phase("queue", 1, "ops_per_sec", self.queue_ops_per_sec),
+        ]
     }
 
-    /// The `--check-perf` regression gate. Returns one message per
-    /// violated check; empty means the gate passes. `history` is the raw
-    /// `BENCH_history.jsonl` content (pre-append), used to *ratchet*: each
-    /// phase's current throughput must stay above `RATCHET_FRAC` of the
-    /// best history record with the **matching configuration** (same
-    /// phase, worker count, and host core count) — records from other
-    /// configurations, legacy lines without a `phase` or `cores` field,
-    /// and records whose `jobs` / `cores` / metric fields are malformed (a
-    /// non-numeric count, a truncated line from an interrupted append) are
-    /// ignored rather than matched by accident: a corrupt record must
-    /// never be able to fail — or pass — the gate. Legacy records written
-    /// while the engine could still elide events carry an extra flag the
-    /// ratchet no longer reads: they measured an engine that was as fast
-    /// or faster, so matching them can only tighten the ratchet. The loose fraction absorbs the ±30% wall-clock
-    /// noise of shared CI boxes while still catching structural
-    /// regressions (a heap-class queue would land at ~15% of the wheel's
-    /// ops/s).
-    pub fn check_perf(&self, history: &str) -> Vec<String> {
-        self.check_perf_at(history, host_cores())
-    }
-
-    /// [`check_perf`](Self::check_perf) against an explicit host core
-    /// count (the testable entry point; production use passes
-    /// [`host_cores`]).
-    pub fn check_perf_at(&self, history: &str, cores: usize) -> Vec<String> {
+    /// The history-independent half of `--check-perf`: the speedup and
+    /// queue floors. Returns one message per violated floor.
+    pub fn floors(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if self.speedup() < SPEEDUP_FLOOR {
             failures.push(format!(
@@ -206,34 +147,6 @@ impl PerfReport {
                 self.queue_ops_per_sec, QUEUE_OPS_FLOOR,
             ));
         }
-        let phases: [(&str, usize, f64, &str); 4] = [
-            ("ticked", 1, self.ticked_events_per_sec(), "events_per_sec"),
-            ("parallel", self.parallel_jobs, self.parallel_events_per_sec(), "events_per_sec"),
-            ("forked", self.parallel_jobs, self.forked_events_per_sec(), "events_per_sec"),
-            ("queue", 1, self.queue_ops_per_sec, "ops_per_sec"),
-        ];
-        for (phase, jobs, current, metric) in phases {
-            let best = history
-                .lines()
-                .filter(|l| {
-                    json_str_field(l, "phase").as_deref() == Some(phase)
-                        && json_usize_field(l, "jobs") == Some(jobs)
-                        && json_usize_field(l, "cores") == Some(cores)
-                })
-                .filter_map(|l| {
-                    json_raw_field(l, metric)
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|v| v.is_finite() && *v > 0.0)
-                })
-                .fold(f64::NAN, f64::max);
-            if best.is_finite() && current < RATCHET_FRAC * best {
-                failures.push(format!(
-                    "{phase} phase ratchet: {current:.0} {metric} is below {:.0}% of the \
-                     best matching record ({best:.0}; jobs={jobs})",
-                    RATCHET_FRAC * 100.0,
-                ));
-            }
-        }
         failures
     }
 
@@ -243,8 +156,6 @@ impl PerfReport {
             "engine self-benchmark ({} runs, {} events)\n\
              \u{20} sequential:  {:>8.3} s  ({:.0} events/s)\n\
              \u{20} {:>2} workers: {:>8.3} s  ({:.0} events/s, {:.2}x pool)\n\
-             \u{20} forked:      {:>8.3} s  ({:.0} events/s, {:.2}x over parallel, \
-             {} warmup events shared)\n\
              \u{20} event queue: {:.2}M ops/s (schedule/cancel/pop churn)\n",
             self.runs,
             self.events,
@@ -254,10 +165,6 @@ impl PerfReport {
             self.parallel_wall_s,
             self.parallel_events_per_sec(),
             self.speedup(),
-            self.forked_wall_s,
-            self.forked_events_per_sec(),
-            self.forked_speedup(),
-            self.fork_warmup_saved,
             self.queue_ops_per_sec / 1e6,
         )
     }
@@ -301,10 +208,6 @@ const MIN_GRID_RUNS: usize = 200;
 /// heap regression on a fast box stays below it.
 const QUEUE_OPS_FLOOR: f64 = 20.0e6;
 
-/// Ratchet tolerance: a phase fails when its current throughput drops
-/// below this fraction of the best matching history record.
-const RATCHET_FRAC: f64 = 0.5;
-
 /// Floor on the sequential-over-parallel speedup. On a 1-core CI box the
 /// pool cannot scale, so the *true* ratio sits at ~1.0 and a hard
 /// `>= 1.0` gate is a coin flip — the main historical source of
@@ -315,54 +218,6 @@ const RATCHET_FRAC: f64 = 0.5;
 /// shave 10%. The per-phase history ratchet and the queue floor remain
 /// the precise instruments.
 const SPEEDUP_FLOOR: f64 = 0.85;
-
-/// The recording host's core count, stamped into every history record
-/// and required to match during ratcheting: 1-core CI containers and
-/// multi-core dev boxes measure incomparable throughputs, and mixing
-/// them made the ratchet either toothless (1-core best) or a guaranteed
-/// failure (multi-core best).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Extract the raw (unquoted) value of a top-level `"key": value` pair
-/// from a single-line JSON object. Good enough for the flat records this
-/// module writes; not a general JSON parser. Matches are anchored: the
-/// quoted key must sit where a key can sit (line start, or after `{` or
-/// `,`), so a string *value* that happens to contain `"jobs":` cannot
-/// alias the `jobs` field.
-pub(crate) fn json_raw_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(off) = line[from..].find(&pat) {
-        let idx = from + off;
-        if idx == 0 || line[..idx].trim_end().ends_with(['{', ',']) {
-            let rest = line[idx + pat.len()..].trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            return Some(rest[..end].trim().to_string());
-        }
-        from = idx + pat.len();
-    }
-    None
-}
-
-/// Like [`json_raw_field`] but strips one layer of surrounding quotes.
-pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let raw = json_raw_field(line, key)?;
-    Some(raw.trim_matches('"').to_string())
-}
-
-/// Strictly-parsed JSON unsigned integer: bare ASCII digits only. Rejects
-/// quoted numbers, signs, floats, and empty tokens.
-pub(crate) fn json_usize_field(line: &str, key: &str) -> Option<usize> {
-    let raw = json_raw_field(line, key)?;
-    if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    raw.parse().ok()
-}
 
 /// Runs `f` [`MEASURE_PASSES`] times and returns the first pass's result
 /// with the **minimum** wall-clock across passes. The engine is
@@ -382,31 +237,23 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (out.expect("MEASURE_PASSES >= 1"), best)
 }
 
-/// Virtual-time warmup depth for the forked pass: far enough that the
-/// shared prefix holds real scheduling history (SA round trips, credit
-/// refills), well short of any run's completion.
-const FORK_WARMUP: SimTime = SimTime::from_millis(50);
-
-/// Times the grid in all three configurations and returns the combined
+/// Times the grid in both configurations and returns the combined
 /// report. `opts.seeds` seeds per mix entry; the whole mix is then
 /// repeated (identically — the engine is deterministic) until a timed
 /// pass is expected to take at least `MIN_TIMED_WALL_S` and the grid
-/// holds at least `MIN_GRID_RUNS` runs. The repetition is what the
-/// forked phase exploits: `runs / base_runs` branches per distinct cell
-/// share one warmup each.
+/// holds at least `MIN_GRID_RUNS` runs.
 pub fn perf(opts: Opts) -> PerfReport {
     // Best-of-N for the micro-benchmark too: its loop already runs to a
     // minimum wall, so take the fastest of the repeated windows.
     let queue_ops = (0..MEASURE_PASSES).map(|_| queue_ops_per_sec()).fold(0.0, f64::max);
     let per = opts.seeds.max(1) as usize;
     let base_runs = MIX.len() * per;
-    let cell = |i: usize| {
+    let job = |i: usize| {
         let i = i % base_runs;
         let (bench, n_inter, strategy) = MIX[i / per];
         let seed = opts.base_seed + (i % per) as u64;
-        Scenario::fig5_style(bench, n_inter, strategy, seed)
+        Scenario::fig5_style(bench, n_inter, strategy, seed).run()
     };
-    let job = |i: usize| cell(i).run();
 
     // Warm-up: faults code and allocator arenas in, and its wall-clock
     // sizes the timed passes.
@@ -425,37 +272,13 @@ pub fn perf(opts: Opts) -> PerfReport {
     let parallel_jobs = parallel::resolve_jobs(opts.jobs);
     let (par, parallel_wall_s) = best_of(|| parallel::ordered_map(parallel_jobs, runs, job));
 
-    // Phase 3: forked — each distinct cell runs its warmup prefix once
-    // (untimed, like the probe: it is paid once per campaign, not per
-    // branch), and every grid slot resumes from its cell's snapshot.
-    // `job` maps slot i to cell i % base_runs, so slot-for-slot identity
-    // with the other passes is well-defined.
-    let snaps: Vec<Snapshot> = parallel::ordered_map(parallel_jobs, base_runs, |i| {
-        let mut sys = System::with_config(cell(i), SystemConfig::default());
-        sys.run_until(FORK_WARMUP);
-        sys.snapshot()
-    });
-    let repeats = (runs / base_runs) as u64;
-    let fork_warmup_saved: u64 = snaps
-        .iter()
-        .map(|s| s.events_processed().saturating_mul(repeats.saturating_sub(1)))
-        .sum();
-    let (forked, forked_wall_s) = best_of(|| {
-        parallel::ordered_map(parallel_jobs, runs, |i| snaps[i % base_runs].resume().run())
-    });
-
     // The determinism contract, asserted over the full result surface:
-    // every float, counter, and latency sample must agree across all
-    // three configurations.
+    // every float, counter, and latency sample must agree across both
+    // configurations.
     assert_eq!(
         format!("{ticked:?}"),
         format!("{par:?}"),
         "parallel pass diverged from sequential"
-    );
-    assert_eq!(
-        format!("{par:?}"),
-        format!("{forked:?}"),
-        "forked pass diverged from the parallel pass: snapshot fork broke bit-identity"
     );
 
     PerfReport {
@@ -463,9 +286,7 @@ pub fn perf(opts: Opts) -> PerfReport {
         events,
         ticked_wall_s,
         parallel_wall_s,
-        forked_wall_s,
         parallel_jobs,
-        fork_warmup_saved,
         queue_ops_per_sec: queue_ops,
     }
 }
@@ -543,9 +364,7 @@ mod tests {
             events: 3456,
             ticked_wall_s: 3.0,
             parallel_wall_s: 1.0,
-            forked_wall_s: 0.5,
             parallel_jobs: 4,
-            fork_warmup_saved: 2000,
             queue_ops_per_sec: 1e6,
         }
     }
@@ -556,129 +375,46 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"runs\": 216"));
         assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"forked_speedup\": 2.000"));
-        assert!(json.contains("\"fork_warmup_saved\": 2000"));
+        assert!(!json.contains("fork"));
         assert!(json.trim_end().ends_with('}'));
         assert!(json.contains("\"verify_wall_s\": null"));
         // verify.sh substitutes the trailing field; it must stay last.
         assert!(json.trim_end().ends_with("\"verify_wall_s\": null\n}"));
         assert!((r.speedup() - 3.0).abs() < 1e-9);
-        assert!((r.forked_speedup() - 2.0).abs() < 1e-9);
         assert!((r.ticked_events_per_sec() - 1152.0).abs() < 1e-6);
     }
 
     #[test]
-    fn history_lines_are_one_json_object_per_phase() {
-        let lines = report().to_history_lines("abc1234", 1_700_000_000, 8);
-        let parsed: Vec<&str> = lines.lines().collect();
-        assert_eq!(parsed.len(), 4, "one record per measured phase");
-        for l in &parsed {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-            assert_eq!(json_str_field(l, "commit").as_deref(), Some("abc1234"));
-            assert_eq!(json_raw_field(l, "timestamp").as_deref(), Some("1700000000"));
-            assert!(json_str_field(l, "phase").is_some());
-            assert!(json_usize_field(l, "jobs").is_some());
-            assert_eq!(json_usize_field(l, "cores"), Some(8));
-        }
-        // Phase records carry the numbers the ratchet keys on.
-        assert!(parsed[0].contains("\"phase\": \"ticked\""));
-        assert!(parsed[0].contains("\"jobs\": 1"));
-        assert!(parsed[1].contains("\"phase\": \"parallel\""));
-        assert!(parsed[1].contains("\"jobs\": 4"));
-        assert!(parsed[1].contains("\"speedup\": 3.000"));
-        assert!(parsed[2].contains("\"phase\": \"forked\""));
-        assert!(parsed[2].contains("\"jobs\": 4"));
-        assert!(parsed[2].contains("\"fork_warmup_saved\": 2000"));
-        assert!(parsed[3].contains("\"phase\": \"queue\""));
-        assert!(parsed[3].contains("\"ops_per_sec\": 1000000"));
+    fn phases_keep_their_history_records() {
+        let records: Vec<String> = report()
+            .phases()
+            .iter()
+            .map(|p| p.record("abc1234", 1_700_000_000, 8))
+            .collect();
+        assert_eq!(
+            records,
+            [
+                "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"ticked\", \
+                 \"jobs\": 1, \"cores\": 8, \"events_per_sec\": 1152}\n",
+                "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"parallel\", \
+                 \"jobs\": 4, \"cores\": 8, \"events_per_sec\": 3456, \"speedup\": 3.000}\n",
+                "{\"commit\": \"abc1234\", \"timestamp\": 1700000000, \"phase\": \"queue\", \
+                 \"jobs\": 1, \"cores\": 8, \"ops_per_sec\": 1000000}\n",
+            ]
+        );
     }
 
     #[test]
-    fn check_perf_passes_on_empty_history() {
+    fn floors_enforce_queue_throughput_and_speedup() {
         let mut r = report();
         r.queue_ops_per_sec = 40.0e6;
-        assert!(r.check_perf("").is_empty());
-    }
-
-    #[test]
-    fn check_perf_enforces_queue_floor_and_speedup() {
-        let mut r = report();
+        assert!(r.floors().is_empty());
         r.queue_ops_per_sec = 1e6; // heap-class number: below the floor
         r.parallel_wall_s = 4.0; // slower than sequential: speedup < 1.0
-        let failures = r.check_perf("");
+        let failures = r.floors();
         assert_eq!(failures.len(), 2);
-        assert!(failures.iter().any(|f| f.contains("queue_ops_per_sec")));
-        assert!(failures.iter().any(|f| f.contains("speedup")));
-    }
-
-    #[test]
-    fn check_perf_ratchets_against_matching_config_only() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // Best matching parallel record is 10x the current report's
-        // throughput -> ratchet fires. A same-phase record with a
-        // different job count, one from a host with a different core
-        // count, a legacy line without `phase`, and a legacy line
-        // without `cores` must all be ignored.
-        let history = "\
-            {\"commit\": \"old0001\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0002\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 8, \"cores\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0004\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 64, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0005\", \"timestamp\": 1, \"phase\": \"parallel\", \"jobs\": 4, \"events_per_sec\": 99999999, \"speedup\": 1.9}\n\
-            {\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}\n";
-        let failures = r.check_perf_at(history, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("parallel phase ratchet"));
-        // Within tolerance of the matching record -> passes.
-        let close = "{\"commit\": \"old0003\", \"timestamp\": 2, \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 4000, \"speedup\": 1.9}\n";
-        assert!(r.check_perf_at(close, 4).is_empty());
-        // The same records never arm the ratchet on a different host.
-        assert!(r.check_perf_at(history, 1).is_empty());
-    }
-
-    #[test]
-    fn legacy_elision_records_arm_the_ratchet() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // A record written while event elision was on, with the same
-        // jobs/cores: it is now a baseline, so a run below half of it
-        // fails (3456 events/s < 0.5 x 34560).
-        let legacy = "{\"commit\": \"old0006\", \"timestamp\": 3, \"phase\": \"parallel\", \"tickless\": true, \"jobs\": 4, \"cores\": 4, \"events_per_sec\": 34560, \"speedup\": 1.9}\n";
-        let failures = r.check_perf_at(legacy, 4);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("parallel phase ratchet"));
-    }
-
-    #[test]
-    fn check_perf_ignores_malformed_records() {
-        let mut r = report();
-        r.queue_ops_per_sec = 40.0e6;
-        // Each record matches the parallel phase on `phase` but is
-        // corrupt in one field. None may arm the ratchet — the gate used
-        // to false-fail when a mangled line's huge number slipped in.
-        let history = "\
-            {\"commit\": \"bad3\", \"phase\": \"parallel\", \"jobs\": \"4\", \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad4\", \"phase\": \"parallel\", \"jobs\": four, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad5\", \"phase\": \"parallel\", \"jobs\": -4, \"cores\": 4, \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad6\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": \"4\", \"events_per_sec\": 99999999}\n\
-            {\"commit\": \"bad7\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\": NaN}\n\
-            {\"commit\": \"bad8\", \"phase\": \"parallel\", \"jobs\": 4, \"cores\": 4, \"events_per_sec\":\n";
-        let failures = r.check_perf_at(history, 4);
-        assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn json_fields_are_anchored_and_strict() {
-        // A value containing a key-shaped string must not alias the key.
-        let line = "{\"commit\": \"x \\\"jobs\\\": 99\", \"jobs\": 4, \"phase\": \"parallel\"}";
-        assert_eq!(json_usize_field(line, "jobs"), Some(4));
-        assert_eq!(json_str_field(line, "phase").as_deref(), Some("parallel"));
-        // Substring keys don't alias (`jobs` vs a hypothetical `xjobs`).
-        assert_eq!(json_usize_field("{\"xjobs\": 7}", "jobs"), None);
-        // Strictness.
-        assert_eq!(json_usize_field("{\"jobs\": \"4\"}", "jobs"), None);
-        assert_eq!(json_usize_field("{\"jobs\": 4.0}", "jobs"), None);
-        assert_eq!(json_usize_field("{\"jobs\": }", "jobs"), None);
+        assert!(failures[0].starts_with("speedup 0.750 < 0.85"));
+        assert!(failures[1].starts_with("queue_ops_per_sec 1000000 below the 20000000 floor"));
     }
 
     #[test]

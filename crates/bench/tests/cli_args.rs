@@ -1,12 +1,12 @@
 //! Argument validation of the `figures` binary: counts that would make a
-//! table or a campaign contract vacuous are rejected at parse time with
-//! the usage text, before any experiment runs.
+//! table or a campaign contract vacuous, and unknown flags, are rejected
+//! at parse time with the usage text, before any experiment runs.
 
 use std::process::Command;
 
 #[test]
 fn bad_counts_are_rejected_with_usage() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 9] = [
         &["fig1a", "--seeds", "0"],
         &["fig5", "--seeds", "0"],
         &["serving", "--smoke", "--seeds", "0"],
@@ -15,6 +15,8 @@ fn bad_counts_are_rejected_with_usage() {
         &["fig1a", "--seeds"],
         &["fig1a", "--seeds", "-1"],
         &["fleet", "--hosts", "x"],
+        // Removed alias: the experiment is spelled `fork_smoke`.
+        &["--fork-smoke"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_figures"))

@@ -15,20 +15,26 @@ fn quick(strategy: Strategy, seed: u64) -> Scenario {
     Scenario::fig5_style("EP", 1, strategy, seed)
 }
 
-/// Scratch-runs the config, then forks two branches off a 40 ms warmup and
-/// completes them through the worker pool at `--jobs 1` and `--jobs 2`;
-/// every branch (and the warmup system itself) must render identically.
-fn assert_fork_identity(strategy: Strategy, faults: Option<FaultConfig>) {
+/// Scratch-runs the config, then forks two branches off a `warmup` prefix
+/// and completes them through the worker pool at `--jobs 1` and
+/// `--jobs 2`; every branch (and the warmup system itself) must render
+/// identically.
+fn assert_fork_identity(
+    label: &str,
+    scenario: impl Fn() -> Scenario,
+    warmup: SimTime,
+    faults: Option<FaultConfig>,
+) {
     let cfg = SystemConfig {
         faults,
         ..SystemConfig::default()
     };
-    let label = format!("{strategy:?} faults={}", cfg.faults.is_some());
-    let scratch = System::with_config(quick(strategy, 11), cfg.clone()).run();
+    let label = format!("{label} faults={}", cfg.faults.is_some());
+    let scratch = System::with_config(scenario(), cfg.clone()).run();
     let want = format!("{scratch:?}");
 
-    let mut warm = System::with_config(quick(strategy, 11), cfg);
-    warm.run_until(SimTime::from_millis(40));
+    let mut warm = System::with_config(scenario(), cfg);
+    warm.run_until(warmup);
     let snap = warm.snapshot();
     for jobs in [1usize, 2] {
         let branches = parallel::ordered_map(jobs, 2, |_| snap.resume().run());
@@ -63,9 +69,35 @@ fn fork_matrix_strategies_faults() {
         Strategy::RelaxedCo,
         Strategy::Irs,
     ];
+    let warmup = SimTime::from_millis(40);
     for (i, strategy) in strategies.into_iter().enumerate() {
-        assert_fork_identity(strategy, None);
-        assert_fork_identity(strategy, Some(profiles[i].clone()));
+        let label = format!("{strategy:?}");
+        assert_fork_identity(&label, || quick(strategy, 11), warmup, None);
+        let faults = Some(profiles[i].clone());
+        assert_fork_identity(&label, || quick(strategy, 11), warmup, faults);
+    }
+}
+
+/// The `figures perf` scenario mix — blocking PARSEC and spinning NPB
+/// workloads under every paravirtual strategy — forked off a 50 ms
+/// warmup: identity must hold beyond EP's single barrier loop.
+#[test]
+fn fork_matrix_perf_mix() {
+    let mix = [
+        ("EP", 1, Strategy::Vanilla),
+        ("EP", 2, Strategy::Irs),
+        ("blackscholes", 1, Strategy::Ple),
+        ("streamcluster", 1, Strategy::Irs),
+        ("LU", 1, Strategy::RelaxedCo),
+        ("swaptions", 2, Strategy::Irs),
+    ];
+    for (bench, n_inter, strategy) in mix {
+        assert_fork_identity(
+            &format!("{bench} x{n_inter} {strategy:?}"),
+            || Scenario::fig5_style(bench, n_inter, strategy, 1),
+            SimTime::from_millis(50),
+            None,
+        );
     }
 }
 
@@ -73,7 +105,8 @@ fn fork_matrix_strategies_faults() {
 /// snapshot must carry that timer across too.
 #[test]
 fn fork_under_strict_co() {
-    assert_fork_identity(Strategy::StrictCo, None);
+    let strict_co = || quick(Strategy::StrictCo, 11);
+    assert_fork_identity("StrictCo", strict_co, SimTime::from_millis(40), None);
 }
 
 /// Forking a *checked* run rebuilds the sanitizer at the snapshot instant;

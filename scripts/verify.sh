@@ -4,9 +4,9 @@
 # benchmark's own build and self-test (perfbench is a separate
 # workspace, so the workspace build never compiles it), a checked
 # strategy sweep (online invariant sanitizer armed), a parallel-runner
-# smoke test, a checked fault-injection chaos smoke, and a snapshot/fork
-# smoke (forked branches bit-identical to from-scratch
-# runs across strategies and fault profiles), a fleet-campaign smoke
+# smoke test, a checked fault-injection chaos smoke, a snapshot/fork
+# smoke (`figures fork_smoke`: forked branches bit-identical to
+# from-scratch runs across strategies and fault profiles), a fleet-campaign smoke
 # (16-host datacenter with churn and adversarial tenants; asserts the
 # degradation contract per cell and ratchets its events/sec), a
 # fleet incremental-parity gate (--parity re-runs the smoke campaign
@@ -18,11 +18,14 @@
 # interference; asserts every cell completed requests, once with the
 # sanitizer armed and once recording/ratcheting its events/sec).
 # Also regenerates BENCH_runner.json (via `figures perf --check-perf`,
-# which fails the build on a sequential-over-parallel speedup below 0.85, on a
-# queue-throughput drop below the timer-wheel floor, or on any phase
-# falling past the ratchet tolerance of its best matching
-# BENCH_history.jsonl record) and records the total verification
-# wall-clock in its `verify_wall_s` field.
+# which times the sequential and parallel phases plus the queue
+# micro-benchmark, and fails the build on a sequential-over-parallel
+# speedup below 0.85, on a queue-throughput drop below the timer-wheel
+# floor, or on any phase falling past the ratchet tolerance of its best
+# matching BENCH_history.jsonl record) and records the total
+# verification wall-clock in its `verify_wall_s` field. perf, fleet and
+# serving share one record-and-ratchet path; the --check and --parity
+# passes neither append to BENCH_history.jsonl nor ratchet.
 #
 # Usage: scripts/verify.sh   (from the repository root)
 set -euo pipefail
@@ -55,7 +58,7 @@ echo "== figures chaos (fault-injection campaign, sanitizer armed) =="
 ./target/release/figures chaos --quick --check --jobs 2 >/dev/null
 
 echo "== figures fork smoke (snapshot/fork bit-identity) =="
-./target/release/figures --fork-smoke --quick --jobs 2 >/dev/null
+./target/release/figures fork_smoke --quick --jobs 2 >/dev/null
 
 echo "== figures fleet smoke (sanitizer armed, degradation contract) =="
 ./target/release/figures fleet --smoke --check --jobs 2 >/dev/null
