@@ -308,7 +308,7 @@ fn main() {
             }
             let cache = &outcome.report.cache;
             eprintln!(
-                "[fleet done in {:.1}s: {} hosts, {} host runs ({} elided, {} carried), \
+                "[fleet done in {:.1}s: {} hosts, {} host runs ({} elided), \
                  {} events logical ({:.0}/s effective), {} executed ({:.0}/s), \
                  fork_warmup_saved={}, cache hit rate {:.1}% ({:.1} MiB resident, \
                  {} evictions), {} tenants placed, {} rejected{}]",
@@ -316,7 +316,6 @@ fn main() {
                 outcome.hosts,
                 outcome.report.host_runs,
                 outcome.report.runs_elided,
-                outcome.report.hosts_carried,
                 outcome.report.events,
                 irs_bench::fleet::effective_events_per_sec(&outcome),
                 irs_bench::fleet::events_executed(&outcome),

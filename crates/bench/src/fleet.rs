@@ -13,8 +13,8 @@
 //! whose history phase is `fleet-scale` and whose ratchet tracks
 //! *effective* throughput: logical events (what a non-incremental
 //! campaign would have simulated) per wall second. The incremental
-//! engine (dirty-host carry-over + composition-keyed result cache) is
-//! what makes 1000-host fleets affordable; `--parity`
+//! engine (a composition-keyed result cache) is what makes 1000-host
+//! fleets affordable; `--parity`
 //! re-runs the campaign with incrementality disabled and asserts the
 //! SLO tables are bit-identical.
 
@@ -183,8 +183,8 @@ pub fn events_per_sec(o: &FleetOutcome) -> f64 {
 }
 
 /// *Effective* throughput: logical events per wall second — what the
-/// campaign delivers per second counting carried/memoized host runs at
-/// face value. This is the `fleet-scale` ratchet metric: it rises with
+/// campaign delivers per second counting memoized host runs at face
+/// value. This is the `fleet-scale` ratchet metric: it rises with
 /// both engine speed and elision rate.
 pub fn effective_events_per_sec(o: &FleetOutcome) -> f64 {
     o.report.events as f64 / o.wall_s.max(1e-9)
@@ -234,8 +234,8 @@ pub fn floors(o: &FleetOutcome) -> Vec<String> {
     vec![format!(
         "fleet-scale incrementality floor: logical volume {} is below \
          {SCALE_MIN_ELISION}x the {executed} events executed \
-         (runs_elided={}, hosts_carried={})",
-        o.report.events, o.report.runs_elided, o.report.hosts_carried,
+         (runs_elided={})",
+        o.report.events, o.report.runs_elided,
     )]
 }
 
@@ -254,7 +254,7 @@ mod tests {
                 events: 15_000,
                 host_runs: 40,
                 runs_elided: 10,
-                hosts_carried: 6,
+                hosts_carried: 0,
                 tenants_placed: 30,
                 tenants_rejected: 2,
                 cache: ForkCacheStats::default(),

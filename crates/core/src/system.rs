@@ -546,12 +546,6 @@ impl System {
         &self.hv
     }
 
-    /// Fault-injection counters so far; `None` unless
-    /// [`SystemConfig::faults`] was set.
-    pub fn fault_stats(&self) -> Option<crate::faults::FaultStats> {
-        self.faults.as_ref().map(|f| f.stats)
-    }
-
     /// Read access to a VM's guest kernel (diagnostics, tests, probes).
     pub fn guest(&self, vm: usize) -> &irs_guest::GuestOs {
         &self.domains[vm].os

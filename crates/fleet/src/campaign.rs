@@ -27,35 +27,29 @@
 //! the epoch, policy, mix, or overcommit), re-running an unchanged host
 //! next epoch reproduces the same result bit for bit. The campaign's
 //! *incremental* mode (`FleetConfig::incremental`, on by default)
-//! exploits this at two layers:
-//!
-//! * **Dirty-host carry-over** — each host tracks whether churn
-//!   (arrival or departure; telemetry feeds only placement) touched it
-//!   this epoch. Clean hosts carry their previous epoch's
-//!   `Arc<RunResult>` per arm and skip simulation entirely, immune to
-//!   cache eviction.
-//! * **Composition-keyed cache** — groups not resolved by carry go
-//!   through [`irs_core::runner::run_forked_grid_cached`]: one run per
-//!   group shared by its members, and a [`ForkCache`] that memoizes
-//!   completed results by composition seed *across epochs, arms, and
-//!   cells* under a byte budget (`FleetConfig::cache_bytes`).
+//! exploits this through one reuse layer: every occupied composition
+//! group goes through [`irs_core::runner::run_forked_grid_cached`] —
+//! one run per group shared by its members, and a [`ForkCache`] that
+//! memoizes completed results by composition seed *across epochs, arms,
+//! and cells* under a byte budget (`FleetConfig::cache_bytes`). An
+//! unchanged host is simply a cache hit on its composition.
 //!
 //! Reuse is observationally invisible — the SLO tables are bit-identical
 //! to the full mode (`incremental: false`), which runs every host from
 //! scratch — because equal-seed runs are bit-identical and samples are
 //! absorbed in the same order either way. The elision counters
-//! (`runs_elided`, `events_elided`, `hosts_carried`) together with
-//! `fork_warmup_saved` (the warmup-prefix share of the elided volume)
-//! decompose the logical event volume:
+//! (`runs_elided`, `events_elided`) together with `fork_warmup_saved`
+//! (the warmup-prefix share of the elided volume) decompose the logical
+//! event volume:
 //! `executed = events − fork_warmup_saved − events_elided` always holds.
 //!
 //! # Determinism
 //!
 //! Churn, placement, and lifetimes are drawn sequentially from one
 //! `SimRng` forked per cell; host runs fan out only through
-//! [`irs_core::parallel::ordered_map`]. Cache bookkeeping and carry
-//! resolution happen sequentially on the driver thread. Tables and every
-//! counter are therefore bit-identical for every `--jobs` value.
+//! [`irs_core::parallel::ordered_map`]. Cache bookkeeping happens
+//! sequentially on the driver thread. Tables and every counter are
+//! therefore bit-identical for every `--jobs` value.
 
 use crate::placement::{PlacementIndex, PlacementPolicy};
 use crate::tenant::{AdversaryMix, Tenant, TenantKind};
@@ -66,7 +60,6 @@ use irs_core::{
 use irs_metrics::{percentile, Series, Summary, Table};
 use irs_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The two strategy arms every cell compares.
 pub const FLEET_STRATEGIES: [Strategy; 2] = [Strategy::Vanilla, Strategy::Irs];
@@ -104,11 +97,10 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Worker threads (0 = process default); tables are jobs-invariant.
     pub jobs: usize,
-    /// Reuse results across hosts, epochs, arms, and cells: clean
-    /// (churn-free) hosts carry their previous result forward, and a
-    /// composition-keyed result cache serves the rest. Tables are
-    /// bit-identical either way; `false` runs every host from scratch
-    /// (the reference mode the parity tests compare against).
+    /// Reuse results across hosts, epochs, arms, and cells: one run per
+    /// composition group, memoized by a composition-keyed result cache.
+    /// Tables are bit-identical either way; `false` runs every host from
+    /// scratch (the reference mode the parity tests compare against).
     pub incremental: bool,
     /// Estimated-byte budget for the incremental result cache (ignored
     /// when `incremental` is off).
@@ -169,9 +161,9 @@ pub struct FleetReport {
     /// Warmup-prefix events of the host runs the cache layer shared or
     /// memoized instead of re-executing (0 in full mode).
     pub fork_warmup_saved: u64,
-    /// All other events not re-executed thanks to carry-over and result
-    /// sharing. `events − fork_warmup_saved − events_elided` is what the
-    /// campaign actually simulated.
+    /// All other events not re-executed thanks to result sharing and
+    /// memoization. `events − fork_warmup_saved − events_elided` is what
+    /// the campaign actually simulated.
     pub events_elided: u64,
     /// Logical fleet event volume (sum over all host runs, shared or
     /// memoized results counted once per host they served).
@@ -179,11 +171,12 @@ pub struct FleetReport {
     /// Host runs in the logical grid (hosts × epochs × arms × cells,
     /// occupied hosts only) — identical in incremental and full modes.
     pub host_runs: usize,
-    /// Logical host runs served without a fresh simulation (carried or
+    /// Logical host runs served without a fresh simulation (shared or
     /// memoized); 0 in full mode.
     pub runs_elided: u64,
-    /// Host runs served specifically by the dirty-host carry-over layer
-    /// (a subset of `runs_elided`).
+    /// Always 0: every reused run is served by the result cache and
+    /// counted in `runs_elided`. Kept so existing reports keep their
+    /// shape.
     pub hosts_carried: u64,
     /// Tenants successfully placed across all cells.
     pub tenants_placed: u64,
@@ -221,7 +214,6 @@ struct CellOutcome {
     fork_warmup_saved: u64,
     events_elided: u64,
     runs_elided: u64,
-    hosts_carried: u64,
     placed: u64,
     rejected: u64,
 }
@@ -356,20 +348,12 @@ fn run_cell(
     let mut rng = SimRng::seed_from(cfg.seed).fork(cell_salt);
 
     let mut index = PlacementIndex::new(cfg.hosts, capacity);
-    // Churn dirtiness and per-arm carried results. A host whose tenant
-    // set did not change re-runs the exact same scenario next epoch
-    // (seeds depend only on composition), so its previous result stands
-    // in verbatim; any arrival or departure clears the carry. Telemetry
-    // updates feed only placement and never dirty a host.
-    let mut dirty = vec![false; cfg.hosts];
-    let mut carry: Vec<[Option<Arc<RunResult>>; 2]> = vec![[None, None]; cfg.hosts];
     let mut active: Vec<Tenant> = Vec::new();
     let mut out = CellOutcome {
         arms: [ArmSamples::default(), ArmSamples::default()],
         fork_warmup_saved: 0,
         events_elided: 0,
         runs_elided: 0,
-        hosts_carried: 0,
         placed: 0,
         rejected: 0,
     };
@@ -380,8 +364,6 @@ fn run_cell(
             let stays = t.departs_at > epoch;
             if !stays {
                 index.remove_tenant(t.host, cfg.tenant_vcpus);
-                dirty[t.host] = true;
-                carry[t.host] = [None, None];
             }
             stays
         });
@@ -400,8 +382,6 @@ fn run_cell(
             match index.place(policy, cfg.tenant_vcpus) {
                 Some(host) => {
                     index.add_tenant(host, cfg.tenant_vcpus);
-                    dirty[host] = true;
-                    carry[host] = [None, None];
                     active.push(Tenant {
                         kind,
                         host,
@@ -439,52 +419,31 @@ fn run_cell(
 
         for (arm, _strategy) in FLEET_STRATEGIES.iter().enumerate() {
             if cfg.incremental {
-                // Resolve each group: clean-host carry first (free and
-                // eviction-immune), then the composition-keyed cache,
-                // then one fresh run for the rest.
-                let mut shared: Vec<Option<Arc<RunResult>>> = vec![None; comps.len()];
-                for (g, slot) in shared.iter_mut().enumerate() {
-                    let carried = members[g]
-                        .iter()
-                        .filter(|&&h| !dirty[h])
-                        .find_map(|&h| carry[h][arm].clone());
-                    if let Some(r) = carried {
-                        let n = members[g].len() as u64;
-                        out.hosts_carried += n;
-                        out.runs_elided += n;
-                        out.events_elided += n * r.events;
-                        *slot = Some(r);
-                    }
-                }
-                let pending: Vec<usize> =
-                    (0..comps.len()).filter(|&g| shared[g].is_none()).collect();
-                let keyed: Vec<(u64, usize)> = pending
+                // One run per composition group: the composition-keyed
+                // cache serves repeats across epochs, arms, and cells.
+                let keyed: Vec<(u64, usize)> = comps
                     .iter()
-                    .map(|&g| (comp_seed(cfg.seed, arm, comps[g]), members[g].len()))
+                    .zip(&members)
+                    .map(|(comp, m)| (comp_seed(cfg.seed, arm, comp), m.len()))
                     .collect();
                 let grid = run_forked_grid_cached(
                     cfg.jobs,
                     Some(cfg.warmup),
                     &SystemConfig::default(),
                     &keyed,
-                    |i| scenario_for(comps[pending[i]], arm, cfg),
+                    |g| scenario_for(comps[g], arm, cfg),
                     cache,
                 );
                 out.fork_warmup_saved += grid.fork_warmup_saved;
                 out.events_elided += grid.events_elided;
                 out.runs_elided += grid.runs_elided;
-                for (i, r) in grid.results.into_iter().enumerate() {
-                    shared[pending[i]] = Some(r);
-                }
 
                 let samples = &mut out.arms[arm];
-                for (g, slot) in shared.iter().enumerate() {
-                    let comp = comps[g];
+                for ((comp, m), r) in comps.iter().zip(&members).zip(&grid.results) {
                     let has_adversary = comp
                         .iter()
                         .any(|&kid| TenantKind::ALL[kid as usize].is_adversarial());
-                    let r = slot.as_ref().expect("every group resolved");
-                    for &host in members[g] {
+                    for &host in m.iter() {
                         absorb_host_run(
                             samples,
                             comp,
@@ -494,7 +453,6 @@ fn run_cell(
                             r,
                             &mut steal_frac[host],
                         );
-                        carry[host][arm] = Some(r.clone());
                     }
                 }
             } else {
@@ -532,9 +490,6 @@ fn run_cell(
             // fresh observation.
             index.set_steal(h, 0.5 * index.steal(h) + 0.5 * frac);
         }
-        // Next epoch's churn defines dirtiness afresh: every host that
-        // ran this epoch now has a current carry for both arms.
-        dirty.fill(false);
     }
     out
 }
@@ -655,7 +610,6 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
     struct ColTotals {
         runs: u64,
         runs_elided: u64,
-        carried: u64,
         events: u64,
         warmup_saved: u64,
         events_elided: u64,
@@ -669,12 +623,10 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
         report.events += events;
         report.host_runs += runs;
         report.runs_elided += cell.runs_elided;
-        report.hosts_carried += cell.hosts_carried;
         report.tenants_placed += cell.placed;
         report.tenants_rejected += cell.rejected;
         col.runs += runs as u64;
         col.runs_elided += cell.runs_elided;
-        col.carried += cell.hosts_carried;
         col.events += events;
         col.warmup_saved += cell.fork_warmup_saved;
         col.events_elided += cell.events_elided;
@@ -739,11 +691,10 @@ pub fn run_campaign(spec: &CampaignSpec) -> FleetReport {
     }
 
     type AcctRow = (&'static str, fn(&ColTotals) -> f64);
-    const ACCT_ROWS: [AcctRow; 8] = [
+    const ACCT_ROWS: [AcctRow; 7] = [
         ("host runs", |c| c.runs as f64),
         ("runs executed", |c| (c.runs - c.runs_elided) as f64),
         ("runs elided", |c| c.runs_elided as f64),
-        ("hosts carried", |c| c.carried as f64),
         ("events (logical)", |c| c.events as f64),
         ("events executed", |c| {
             (c.events - c.warmup_saved - c.events_elided) as f64

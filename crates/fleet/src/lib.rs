@@ -17,7 +17,7 @@
 //! * [`PlacementPolicy`] / [`HostState`] — first-fit, worst-fit/spread,
 //!   and interference-aware placement over a per-host steal-time EWMA.
 //! * [`run_campaign`] — the grid driver: one shared run per
-//!   equal-composition host group plus dirty-host carry-over and a
+//!   equal-composition host group, memoized by a composition-keyed
 //!   result cache across epochs (incremental mode), parallel host
 //!   fan-out via `irs_core::parallel` (bit-identical tables at any
 //!   `--jobs N`), and table assembly via `irs_metrics`.

@@ -1,6 +1,5 @@
 //! Incremental-epoch parity contract: the campaign's incremental mode
-//! (dirty-host carry-over + composition-keyed result cache)
-//! must produce SLO tables bit-identical to a full re-simulation — for
+//! (one composition-keyed result cache) must produce SLO tables bit-identical to a full re-simulation — for
 //! every policy in the spec, every adversary mix, and every `jobs`
 //! value — while actually eliding work, and
 //! while its accounting decomposition stays exact even when the cache is
@@ -12,8 +11,8 @@ use irs_fleet::{
 use irs_sim::SimTime;
 
 /// Same shape as the determinism suite's fleet: small enough for
-/// debug-build CI, churny enough that epochs have both clean hosts
-/// (carry-over fires) and dirty ones (the cache fires).
+/// debug-build CI, churny enough that epochs have both unchanged hosts
+/// (cache hits across epochs) and fresh compositions (cache misses).
 fn spec(jobs: usize, incremental: bool, cache_bytes: usize) -> CampaignSpec {
     CampaignSpec {
         fleet: FleetConfig {
@@ -69,9 +68,8 @@ fn assert_parity(full: &FleetReport, inc: &FleetReport, label: &str) {
 #[test]
 fn incremental_matches_full_across_jobs() {
     let full = run_campaign(&spec(1, false, 64 << 20));
-    // Full mode runs every host: nothing is shared, carried, or cached.
+    // Full mode runs every host: nothing is shared or cached.
     assert_eq!(full.runs_elided, 0, "full mode must not elide");
-    assert_eq!(full.hosts_carried, 0);
     assert_eq!((full.fork_warmup_saved, full.events_elided), (0, 0));
     assert_eq!(full.cache, Default::default());
     for jobs in [1, 2] {
@@ -79,10 +77,8 @@ fn incremental_matches_full_across_jobs() {
         let label = format!("jobs={jobs}");
         assert_parity(&full, &inc, &label);
         // Incremental mode must actually have skipped work: churn leaves
-        // clean hosts (carry) and repeated compositions (cache) in every
-        // one of these configurations.
+        // repeated compositions in every one of these configurations.
         assert!(inc.runs_elided > 0, "nothing elided under {label}");
-        assert!(inc.hosts_carried > 0, "no carry-over under {label}");
         assert!(inc.events_elided > 0, "no events elided under {label}");
         assert!(inc.cache.result_hits > 0, "cache never hit under {label}");
         assert!(
@@ -102,7 +98,6 @@ fn incremental_counters_are_jobs_invariant() {
     assert_eq!(a.fork_warmup_saved, b.fork_warmup_saved);
     assert_eq!(a.events_elided, b.events_elided);
     assert_eq!(a.runs_elided, b.runs_elided);
-    assert_eq!(a.hosts_carried, b.hosts_carried);
     assert_eq!(a.cache, b.cache, "cache stats must be jobs-invariant");
     assert_eq!(
         a.accounting.render(),
@@ -115,8 +110,7 @@ fn incremental_counters_are_jobs_invariant() {
 fn eviction_under_pressure_keeps_parity() {
     let full = run_campaign(&spec(1, false, 64 << 20));
     // A 1-byte budget evicts every insertion straight back out: the
-    // cache degrades to recompute-always, but dirty-host carry-over
-    // still elides and the tables must not move.
+    // cache degrades to recompute-always and the tables must not move.
     let squeezed = run_campaign(&spec(1, true, 1));
     assert_parity(&full, &squeezed, "cache_bytes=1");
     assert!(squeezed.cache.evictions > 0, "nothing was ever evicted");
@@ -124,12 +118,35 @@ fn eviction_under_pressure_keeps_parity() {
         squeezed.cache.resident_bytes, 0,
         "a 1-byte budget cannot keep entries resident"
     );
-    assert!(squeezed.hosts_carried > 0, "carry must survive eviction");
     // With an effectively disabled cache nothing survives between calls,
-    // so elision comes only from carry-over and within-call sharing.
+    // so elision comes only from within-call sharing.
     assert_eq!(squeezed.cache.result_hits, 0);
     assert_eq!(squeezed.cache.snapshot_hits, 0);
-    assert!(squeezed.runs_elided >= squeezed.hosts_carried);
+}
+
+/// Events this spec executes at 64 MiB: only the first sighting of each
+/// (composition, arm) runs, so a lost cache hit or a run outside the
+/// cache moves this number.
+const EXECUTED_AT_64_MIB: u64 = 57_756;
+
+#[test]
+fn every_executed_run_goes_through_the_cache() {
+    for jobs in [1, 2] {
+        let inc = run_campaign(&spec(jobs, true, 64 << 20));
+        // A run is executed only on a cache miss, and a budget this
+        // size never evicts: every repeat of a composition is a hit.
+        assert_eq!(
+            inc.host_runs as u64 - inc.runs_elided,
+            inc.cache.misses,
+            "an executed run bypassed the cache (jobs={jobs})"
+        );
+        assert_eq!(inc.cache.evictions, 0, "jobs={jobs}");
+        assert_eq!(
+            inc.events - inc.fork_warmup_saved - inc.events_elided,
+            EXECUTED_AT_64_MIB,
+            "executed volume moved (jobs={jobs})"
+        );
+    }
 }
 
 #[test]

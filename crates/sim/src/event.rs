@@ -74,11 +74,6 @@ impl EventId {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// Raw id value (diagnostics only).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 /// Wheel tick resolution: `2^16` ns = 65.5 µs per tick. One bottom-level

@@ -10,13 +10,15 @@
 # (16-host datacenter with churn and adversarial tenants; asserts the
 # degradation contract per cell and ratchets its events/sec), a
 # fleet incremental-parity gate (--parity re-runs the smoke campaign
-# with the dirty-host carry-over and result cache disabled and
-# asserts bit-identical SLO tables), a 1000-host fleet-scale pass
-# (ratchets *effective* events/sec — logical volume per wall second —
-# and enforces the deterministic >=5x incrementality floor), and a
-# serving-campaign smoke (open-loop latency-SLO service under
-# interference; asserts every cell completed requests, once with the
-# sanitizer armed and once recording/ratcheting its events/sec).
+# with the result cache disabled and asserts bit-identical SLO
+# tables), a 1000-host fleet-scale pass (ratchets *effective*
+# events/sec — logical volume per wall second — and enforces the
+# deterministic >=5x incrementality floor), a serving-campaign smoke
+# (open-loop latency-SLO service under interference; asserts every
+# cell completed requests, once with the sanitizer armed and once
+# recording/ratcheting its events/sec), and the byte-identity oracle
+# (`figures all`, run in a scratch directory, must reproduce the
+# committed figures_output.txt and results_csv/ byte for byte).
 # Also regenerates BENCH_runner.json (via `figures perf --check-perf`,
 # which times the sequential and parallel phases plus the queue
 # micro-benchmark, and fails the build on a sequential-over-parallel
@@ -77,6 +79,16 @@ echo "== figures serving smoke (sanitizer armed, cell contracts) =="
 
 echo "== figures serving smoke (perf record + events/sec ratchet) =="
 ./target/release/figures serving --smoke --check-perf --jobs 2 >/dev/null
+
+echo "== figures all oracle (byte-identical to figures_output.txt and results_csv/) =="
+# A scratch cwd, so the fleet and serving runs inside `all` append to a
+# throwaway BENCH_history.jsonl rather than the committed one.
+root=$(pwd)
+oracle=$(mktemp -d)
+(cd "$oracle" && "$root/target/release/figures" all --csv csv --jobs 2 > out.txt)
+cmp "$oracle/out.txt" figures_output.txt
+diff -r "$oracle/csv" results_csv
+rm -rf "$oracle"
 
 echo "== figures perf (regression gate; writes BENCH_runner.json) =="
 ./target/release/figures perf --quick --jobs 2 --check-perf
