@@ -32,7 +32,13 @@
 //!
 //! A violation panics with the invariant's name, the offending values, and
 //! the tail of the merged scheduling trace ([`crate::System::trace_dump`])
-//! so the decision sequence that led to the corruption is visible.
+//! so the decision sequence that led to the corruption is visible. Runs are
+//! deterministic: to see further back than the report's tail, re-run the
+//! same `(scenario, cfg)` from t=0 with
+//! [`crate::SystemConfig::trace_capacity`] raised; the re-run hits the same
+//! violation with a byte-identical report and leaves the deeper history in
+//! the rings ([`crate::System::trace`], [`crate::System::hypervisor`],
+//! [`crate::System::guest`]).
 
 use crate::events::Event;
 use crate::system::System;

@@ -25,22 +25,26 @@ use irs_sync::OfferOutcome;
 use irs_workloads::{ProgramRunner, WorkloadKind};
 use irs_xen::{HvAction, Hypervisor, PcpuId, RunState, SchedOp, VcpuRef, Virq, VmSpec};
 
-/// Modelling knobs that are not part of any scheduler's configuration.
-#[derive(Debug, Clone)]
+/// Base cache warm-up penalty a task pays after a cross-vCPU migration,
+/// scaled by the workload's memory intensity.
+const CACHE_PENALTY: SimTime = SimTime::from_micros(200);
+
+/// Safety valve on total events processed (a run that trips it is a bug,
+/// not a result).
+const MAX_EVENTS: u64 = 200_000_000;
+
+/// Per-run knobs that are not part of any scheduler's configuration:
+/// observability (tracing, the sanitizer), the paravirtual spin policy,
+/// and fault injection. The modelling constants every run shares (cache
+/// penalty, futex grace, the event safety valve) are module constants.
+#[derive(Debug, Clone, Default)]
 pub struct SystemConfig {
-    /// Base cache warm-up penalty a task pays after a cross-vCPU
-    /// migration, scaled by the workload's memory intensity.
-    pub cache_penalty: SimTime,
-    /// Safety valve on total events processed (a run that trips it is a
-    /// bug, not a result).
-    pub max_events: u64,
-    /// Futex grace: how long a blocking wait spins before actually
-    /// sleeping (glibc adaptive-mutex / futex fast-path behaviour). This
-    /// is the brief spinning on blocking primitives that PLE reacts to.
-    pub futex_grace: SimTime,
     /// Capacity of the in-memory scheduling trace (0 disables tracing).
     /// When enabled, every hypervisor and guest action is recorded with
-    /// its virtual timestamp; dump via [`System::trace`].
+    /// its virtual timestamp; dump via [`System::trace`]. Runs are
+    /// deterministic, so the way to see deeper history before a sanitizer
+    /// violation is to re-run the same `(scenario, cfg)` from t=0 with this
+    /// raised.
     pub trace_capacity: usize,
     /// Paravirtual spin-then-halt: an ungranted spin wait longer than this
     /// halts until the owner's release kicks it (pv-spinlock semantics,
@@ -57,35 +61,11 @@ pub struct SystemConfig {
     /// forked from the scenario seed, so a given `(scenario, faults)`
     /// pair is bit-reproducible regardless of checking or parallelism.
     pub faults: Option<crate::faults::FaultConfig>,
-    /// Rolling-checkpoint period for sanitizer replay: when set, the run
-    /// takes a [`Snapshot`] every `period` of virtual time, and an
-    /// invariant violation re-runs the window from the last checkpoint
-    /// with a large trace ring armed before panicking — so the report
-    /// carries the full decision history leading up to the violation, not
-    /// just the default ring's tail. `None` (the default) costs nothing.
-    /// Checkpoints never perturb results: taking a snapshot mutates no
-    /// simulation state.
-    pub checkpoint_period: Option<SimTime>,
 }
 
 /// Fixed salt separating the open-loop arrival streams from the workload
 /// RNG (both are forked from the scenario seed).
 const ARRIVAL_STREAM_SALT: u64 = 0x6f70_656e_5f6c_6f6f; // "open_loo"
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            cache_penalty: SimTime::from_micros(200),
-            max_events: 200_000_000,
-            futex_grace: SimTime::from_micros(30),
-            trace_capacity: 0,
-            pv_spin: None,
-            check: false,
-            faults: None,
-            checkpoint_period: None,
-        }
-    }
-}
 
 /// The assembled co-simulation. Construct from a [`Scenario`], then
 /// [`System::run`].
@@ -114,17 +94,6 @@ pub struct System {
     checker: Option<crate::check::Checker>,
     /// Live fault injector, when [`SystemConfig::faults`] is set.
     faults: Option<crate::faults::FaultState>,
-    /// Most recent rolling checkpoint, when
-    /// [`SystemConfig::checkpoint_period`] is set. Boxed: a snapshot is a
-    /// full state copy and most systems never take one.
-    last_checkpoint: Option<Box<Snapshot>>,
-    /// Virtual time at or after which the next rolling checkpoint is due.
-    next_checkpoint_at: SimTime,
-    /// Recycled scratch for [`System::trace_dump`]: `(timestamp, ring,
-    /// index)` keys into the trace rings, so repeated dumps (the checker
-    /// renders one per violation probe) reuse one allocation instead of
-    /// rebuilding a `Vec` of record references each time.
-    trace_scratch: std::cell::RefCell<Vec<(SimTime, u16, u32)>>,
 }
 
 impl System {
@@ -323,9 +292,6 @@ impl System {
             trace_on: ring_cap > 0,
             checker: None,
             faults,
-            last_checkpoint: None,
-            next_checkpoint_at: SimTime::ZERO,
-            trace_scratch: std::cell::RefCell::new(Vec::new()),
         };
         sys.boot();
         if checking {
@@ -426,21 +392,12 @@ impl System {
     ///
     /// Panics if the event-count safety valve trips (a runaway loop).
     pub fn step(&mut self) -> bool {
-        if let Some(period) = self.cfg.checkpoint_period {
-            // Between events is the one guaranteed-consistent instant; the
-            // snapshot mutates nothing, so checkpointed and plain runs stay
-            // bit-identical.
-            if self.now >= self.next_checkpoint_at {
-                self.last_checkpoint = Some(Box::new(self.snapshot()));
-                self.next_checkpoint_at = self.now + period;
-            }
-        }
         let Some((t, ev)) = self.queue.pop() else {
             return false;
         };
         self.events_processed += 1;
         assert!(
-            self.events_processed <= self.cfg.max_events,
+            self.events_processed <= MAX_EVENTS,
             "event safety valve tripped at {} events (now {})",
             self.events_processed,
             self.now
@@ -468,21 +425,7 @@ impl System {
         }
         self.refresh_slice_timers();
         if let Some(mut checker) = self.checker.take() {
-            if self.last_checkpoint.is_some() {
-                // A rolling checkpoint exists: intercept a violation, re-run
-                // the window from the checkpoint with a deep trace ring
-                // armed, and re-panic with the replay's richer report
-                // appended to the original.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    checker.check(&*self, ev)
-                }));
-                if let Err(payload) = caught {
-                    let replay = self.replay_from_checkpoint();
-                    panic!("{}\n{replay}", panic_message(&*payload));
-                }
-            } else {
-                checker.check(self, ev);
-            }
+            checker.check(self, ev);
             self.checker = Some(checker);
         }
         true
@@ -506,8 +449,8 @@ impl System {
     /// [`SystemConfig::trace_capacity`] or checking). This is the report
     /// body the invariant sanitizer prints on violation.
     pub fn trace_dump(&self) -> String {
-        // Ring encoding for the recycled scratch: 0 = hypervisor,
-        // 1..=n = guests, n+1 = the embedder's own ring.
+        // Ring encoding for the sort keys: 0 = hypervisor, 1..=n = guests,
+        // n+1 = the embedder's own ring.
         let ring = |r: u16| -> &std::collections::VecDeque<irs_sim::trace::TraceRecord> {
             match r {
                 0 => self.hv.trace().records(),
@@ -517,8 +460,8 @@ impl System {
                 _ => self.trace.records(),
             }
         };
-        let mut keys = self.trace_scratch.take();
-        keys.clear();
+        // `(timestamp, ring, index)` keys into the rings.
+        let mut keys: Vec<(SimTime, u16, u32)> = Vec::new();
         for r in 0..(self.domains.len() + 2) as u16 {
             keys.extend(
                 ring(r)
@@ -536,8 +479,6 @@ impl System {
             out.push_str(&ring(r)[i as usize].to_string());
             out.push('\n');
         }
-        keys.clear();
-        self.trace_scratch.replace(keys);
         out
     }
 
@@ -666,9 +607,9 @@ impl System {
     ///
     /// Not captured: trace-ring *contents* (rings are observability; the
     /// snapshot keeps only their configuration and a resumed system starts
-    /// with empty rings), the sanitizer's rolling state (rebuilt from the
-    /// snapshot instant on resume), and any rolling checkpoint this system
-    /// itself holds. See DESIGN.md §2.7 for the full contract.
+    /// with empty rings) and the sanitizer's rolling state (rebuilt from
+    /// the snapshot instant on resume). See DESIGN.md §2.7 for the full
+    /// contract.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             cfg: self.cfg.clone(),
@@ -690,59 +631,10 @@ impl System {
         }
     }
 
-    /// Rewinds this system to `snap`'s instant, exactly as
-    /// [`Snapshot::resume`] would build it. Everything this system
-    /// accumulated since (or before — restoring across unrelated systems
-    /// of the same shape is allowed but pointless) is dropped.
-    pub fn restore(&mut self, snap: &Snapshot) {
-        *self = snap.resume();
-    }
-
-    /// Forks `n` independent branches from the current state. Each branch
-    /// is bit-identical to this system — running any of them (or this
-    /// system itself) yields the result a from-scratch run would; see the
-    /// determinism contract on [`Snapshot`].
-    pub fn fork(&self, n: usize) -> Vec<System> {
-        let snap = self.snapshot();
-        (0..n).map(|_| snap.resume()).collect()
-    }
-
     /// Events processed so far (matches [`RunResult::events`] at
     /// completion).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Re-runs the window since the last rolling checkpoint with checking
-    /// on and a deep trace ring armed, and renders the outcome. Called on
-    /// a checker violation; the replay is expected to hit the same
-    /// violation and panic, whose message (carrying the full merged trace
-    /// of the window) is returned as the report body.
-    fn replay_from_checkpoint(&self) -> String {
-        let snap = self
-            .last_checkpoint
-            .as_deref()
-            .expect("replay requires a checkpoint");
-        let header = format!(
-            "--- checkpoint replay: {} events from t={} with a {REPLAY_TRACE_CAP}-record trace ring ---",
-            self.events_processed - snap.events_processed,
-            snap.now,
-        );
-        let mut sys = snap.rebuild(Some(REPLAY_TRACE_CAP));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            while !sys.stopped && !sys.measurement_done() {
-                if !sys.step() {
-                    break;
-                }
-            }
-        }));
-        match outcome {
-            Err(payload) => format!("{header}\n{}", panic_message(&*payload)),
-            // Possible for the sa-freeze invariant only: its wait-since
-            // stamp restarts at the checkpoint, which can push the replay's
-            // freeze deadline past the original's.
-            Ok(()) => format!("{header}\nreplay did not reproduce the violation"),
-        }
     }
 
     // ==================================================================
@@ -1257,9 +1149,7 @@ impl System {
                     }
                 }
                 GuestAction::TaskMigrated { task, .. } => {
-                    let penalty = self
-                        .cfg
-                        .cache_penalty
+                    let penalty = CACHE_PENALTY
                         .scaled_f64(self.domains[vm].memory_intensity)
                         .as_nanos();
                     let d = &mut self.domains[vm];
@@ -1434,11 +1324,6 @@ impl System {
     }
 }
 
-/// Trace-ring capacity armed for a checkpoint replay (records per ring:
-/// hypervisor, each guest, embedder). Deliberately deep — the replay exists
-/// to show the *whole* window of decisions, not the default ring's tail.
-const REPLAY_TRACE_CAP: usize = 4096;
-
 /// A deep checkpoint of a [`System`], produced by [`System::snapshot`].
 ///
 /// # Determinism contract
@@ -1488,12 +1373,32 @@ impl Snapshot {
     /// call once per branch: everything heavy that can be shared (workload
     /// programs) already is, via `Arc`.
     pub fn resume(&self) -> System {
-        self.rebuild(None)
-    }
-
-    /// Virtual time at which the snapshot was taken.
-    pub fn now(&self) -> SimTime {
-        self.now
+        let mut sys = System {
+            cfg: self.cfg.clone(),
+            strategy: self.strategy,
+            now: self.now,
+            queue: self.queue.clone(),
+            hv: self.hv.clone(),
+            domains: self.domains.clone(),
+            rng: self.rng.clone(),
+            horizon: self.horizon,
+            armed_slice_gen: self.armed_slice_gen.clone(),
+            armed_epoch: self.armed_epoch,
+            stopped: self.stopped,
+            events_processed: self.events_processed,
+            trace: self.trace.clone(),
+            trace_on: self.trace_on,
+            checker: None,
+            faults: self.faults.clone(),
+        };
+        if self.checking {
+            // Valid at any instant, not just boot: the checker's rolling
+            // baseline is whatever state it is created over, and at a
+            // between-events instant that equals what the original
+            // checker's baseline was at the same point.
+            sys.checker = Some(crate::check::Checker::new(&sys));
+        }
+        sys
     }
 
     /// Events the snapshotted run had processed — i.e. the work a resumed
@@ -1535,67 +1440,4 @@ impl Snapshot {
         }
         b
     }
-
-    /// `resume`, optionally with a deep trace ring + checking forced on
-    /// (the sanitizer-replay path). The traced rebuild disables rolling
-    /// checkpoints so a replayed violation panics directly instead of
-    /// recursing into another replay.
-    fn rebuild(&self, traced: Option<usize>) -> System {
-        let mut cfg = self.cfg.clone();
-        let mut hv = self.hv.clone();
-        let mut domains = self.domains.clone();
-        let mut trace = self.trace.clone();
-        let mut trace_on = self.trace_on;
-        let mut checking = self.checking;
-        if let Some(cap) = traced {
-            cfg.trace_capacity = cap;
-            cfg.check = true;
-            cfg.checkpoint_period = None;
-            hv.enable_trace(cap);
-            for (vm, d) in domains.iter_mut().enumerate() {
-                d.os.enable_trace(vm, cap);
-            }
-            trace = irs_sim::trace::TraceRing::enabled(cap);
-            trace_on = true;
-            checking = true;
-        }
-        let mut sys = System {
-            cfg,
-            strategy: self.strategy,
-            now: self.now,
-            queue: self.queue.clone(),
-            hv,
-            domains,
-            rng: self.rng.clone(),
-            horizon: self.horizon,
-            armed_slice_gen: self.armed_slice_gen.clone(),
-            armed_epoch: self.armed_epoch,
-            stopped: self.stopped,
-            events_processed: self.events_processed,
-            trace,
-            trace_on,
-            checker: None,
-            faults: self.faults.clone(),
-            last_checkpoint: None,
-            next_checkpoint_at: self.now,
-            trace_scratch: std::cell::RefCell::new(Vec::new()),
-        };
-        if checking {
-            // Valid at any instant, not just boot: the checker's rolling
-            // baseline is whatever state it is created over, and at a
-            // between-events instant that equals what the original
-            // checker's baseline was at the same point.
-            sys.checker = Some(crate::check::Checker::new(&sys));
-        }
-        sys
-    }
-}
-
-/// Renders a caught panic payload (the checker panics with a `String`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&'static str>().copied())
-        .unwrap_or("(non-string panic payload)")
 }

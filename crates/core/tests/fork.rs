@@ -8,7 +8,6 @@
 
 use irs_core::{parallel, runner, FaultConfig, Scenario, Strategy, System, SystemConfig};
 use irs_sim::SimTime;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn quick(strategy: Strategy, seed: u64) -> Scenario {
     // EP is the cheapest preset; one interferer keeps scheduling non-trivial.
@@ -121,24 +120,26 @@ fn fork_with_sanitizer_armed() {
     };
     let mut warm = System::with_config(quick(Strategy::Irs, 23), cfg);
     warm.run_until(SimTime::from_millis(40));
-    for sys in warm.fork(2) {
-        let b = sys.run();
+    let snap = warm.snapshot();
+    for _ in 0..2 {
+        let b = snap.resume().run();
         assert_eq!(format!("{b:?}"), format!("{scratch:?}"));
     }
 }
 
-/// `restore` rewinds: run past the snapshot point, rewind, and the re-run
-/// must replay the identical suffix.
+/// Resuming rewinds: run past the snapshot point, resume the snapshot, and
+/// the re-run must replay the identical suffix.
 #[test]
 fn restore_rewinds_to_the_snapshot_instant() {
     let mut sys = System::new(quick(Strategy::Irs, 5));
     sys.run_until(SimTime::from_millis(30));
+    let (at, events) = (sys.now(), sys.events_processed());
     let snap = sys.snapshot();
     let first = sys.run();
-    let mut rewound = snap.resume();
-    rewound.restore(&snap);
-    assert_eq!(rewound.now(), snap.now());
-    assert_eq!(rewound.events_processed(), snap.events_processed());
+    let rewound = snap.resume();
+    assert_eq!(rewound.now(), at);
+    assert_eq!(rewound.events_processed(), events);
+    assert_eq!(snap.events_processed(), events);
     let second = rewound.run();
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
@@ -177,55 +178,4 @@ fn run_forked_reports_savings_and_identical_branches() {
     for b in &branches {
         assert_eq!(format!("{b:?}"), want);
     }
-}
-
-/// Rolling checkpoints + sanitizer: a violation re-runs the window from
-/// the last checkpoint with a deep trace ring armed and appends the
-/// replay's report — which must reproduce the same named invariant.
-#[test]
-fn sanitizer_violation_replays_from_checkpoint() {
-    let cfg = SystemConfig {
-        check: true,
-        checkpoint_period: Some(SimTime::from_millis(5)),
-        faults: Some(FaultConfig {
-            double_run: true,
-            ..FaultConfig::default()
-        }),
-        ..SystemConfig::default()
-    };
-    let scenario = Scenario::fig5_style("streamcluster", 2, Strategy::Vanilla, 42)
-        .horizon(SimTime::from_secs(5));
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        System::with_config(scenario, cfg).run()
-    }));
-    let err = result.expect_err("the double-run fault must trip the sanitizer");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("panic payload should be a string");
-    assert!(
-        msg.contains("scheduler invariant violated: pcpu-double-run"),
-        "report does not name the tripped invariant:\n{msg}"
-    );
-    assert!(
-        msg.contains("--- checkpoint replay:"),
-        "report carries no checkpoint replay:\n{msg}"
-    );
-    assert_eq!(
-        msg.matches("scheduler invariant violated: pcpu-double-run").count(),
-        2,
-        "the replay must reproduce the violation:\n{msg}"
-    );
-}
-
-/// Checkpointing must never perturb results (snapshots mutate nothing).
-#[test]
-fn checkpointing_does_not_perturb_results() {
-    let plain = System::new(quick(Strategy::Irs, 17)).run();
-    let cfg = SystemConfig {
-        checkpoint_period: Some(SimTime::from_millis(10)),
-        ..SystemConfig::default()
-    };
-    let checkpointed = System::with_config(quick(Strategy::Irs, 17), cfg).run();
-    assert_eq!(format!("{plain:?}"), format!("{checkpointed:?}"));
 }

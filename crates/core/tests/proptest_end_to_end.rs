@@ -1,8 +1,9 @@
-//! End-to-end property tests: randomly composed workloads, strategies, and
-//! interference always run to completion with cross-layer invariants and
-//! physical time conservation intact.
+//! End-to-end property tests: randomly composed workloads, strategies,
+//! interference, and fault profiles always run to completion with the
+//! online sanitizer armed on every event, cross-layer invariants intact,
+//! and physical time conserved.
 
-use irs_core::{Scenario, Strategy, System, VmScenario};
+use irs_core::{FaultConfig, Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
 use irs_sync::{SyncSpace, WaitMode};
 use irs_workloads::{presets, ProgramBuilder, WorkloadBundle};
@@ -60,11 +61,24 @@ fn strategy_from(idx: u8) -> Strategy {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn faults_from(idx: u8) -> FaultConfig {
+    match idx % 7 {
+        0 => FaultConfig::none(),
+        1 => FaultConfig::upcall_storm(),
+        2 => FaultConfig::ack_chaos(),
+        3 => FaultConfig::wedged_guest(),
+        4 => FaultConfig::jittery_timer(),
+        5 => FaultConfig::degraded_host(),
+        _ => FaultConfig::everything(),
+    }
+}
 
-    /// Any random configuration completes, conserves physical time, and
-    /// keeps every layer's invariants at sampled points.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any random configuration completes under any fault profile, passes
+    /// the sanitizer after every event, conserves physical time, and keeps
+    /// every layer's invariants at sampled points.
     #[test]
     fn random_scenarios_complete_cleanly(
         threads in 2usize..6,
@@ -76,6 +90,7 @@ proptest! {
         n_inter in 1usize..4,
         pinned in any::<bool>(),
         seed in 0u64..1_000,
+        fault_idx in 0u8..7,
     ) {
         let bundle = random_bundle(threads, iters, grain_us, barrier, spin);
         let strategy = strategy_from(strategy_idx);
@@ -88,7 +103,13 @@ proptest! {
                 vm.pinning = None;
             }
         }
-        let mut sys = System::new(scenario);
+        let faults = faults_from(fault_idx);
+        let cfg = SystemConfig {
+            check: true,
+            faults: Some(faults.clone()),
+            ..SystemConfig::default()
+        };
+        let mut sys = System::with_config(scenario, cfg);
         let mut steps = 0u64;
         loop {
             prop_assert!(sys.step(), "event queue drained unexpectedly");
@@ -105,7 +126,7 @@ proptest! {
             }
             prop_assert!(
                 sys.now() < SimTime::from_secs(59),
-                "workload failed to complete ({strategy}, spin={spin}, barrier={barrier})"
+                "workload failed to complete ({strategy}, spin={spin}, barrier={barrier}, {faults:?})"
             );
         }
         sys.check_invariants();

@@ -52,13 +52,13 @@ fn checking_does_not_perturb_results() {
     );
 }
 
-/// A scheduler that double-books a pCPU on wake-up must be caught, and the
-/// panic report must name the invariant and carry a timestamped trace of
-/// the decisions that led to the corruption.
-#[test]
-fn fault_injection_trips_the_sanitizer() {
+/// Runs the double-run fault scenario checked, with `trace_capacity` per
+/// trace ring (0 keeps the sanitizer's default ring), and returns the
+/// violation report.
+fn double_run_report(trace_capacity: usize) -> String {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let cfg = SystemConfig {
+            trace_capacity,
             faults: Some(FaultConfig {
                 double_run: true,
                 ..FaultConfig::default()
@@ -68,11 +68,21 @@ fn fault_injection_trips_the_sanitizer() {
         System::with_config(short_fig5(Strategy::Vanilla, 42), cfg).run()
     }));
     let err = result.expect_err("the double-run fault must trip the sanitizer");
-    let msg = err
-        .downcast_ref::<String>()
+    err.downcast_ref::<String>()
         .cloned()
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .expect("panic payload should be a string");
+        .expect("panic payload should be a string")
+}
+
+/// A scheduler that double-books a pCPU on wake-up must be caught, and the
+/// panic report must name the invariant and carry a timestamped trace of
+/// the decisions that led to the corruption. Runs are deterministic, so
+/// the debugging path for deeper history is a checked re-run from t=0
+/// with a large trace ring: that re-run must reproduce the report byte
+/// for byte.
+#[test]
+fn fault_injection_trips_the_sanitizer() {
+    let msg = double_run_report(0);
     assert!(
         msg.contains("scheduler invariant violated: pcpu-double-run"),
         "report does not name the tripped invariant:\n{msg}"
@@ -87,5 +97,10 @@ fn fault_injection_trips_the_sanitizer() {
         msg.lines()
             .any(|l| l.trim_start().starts_with('[') && l.contains("xen.wake")),
         "trace dump lacks timestamped wake decisions:\n{msg}"
+    );
+    assert_eq!(
+        double_run_report(4096),
+        msg,
+        "a deep-ring re-run from t=0 must reproduce the report exactly"
     );
 }

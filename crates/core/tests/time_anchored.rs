@@ -81,7 +81,7 @@ fn serving_forked_run_is_bit_identical_to_scratch() {
     let scratch = System::with_config(serving_scenario(1, Strategy::Irs, 9), cfg.clone()).run();
     let mut warm = System::with_config(serving_scenario(1, Strategy::Irs, 9), cfg);
     assert!(warm.run_until(SimTime::from_millis(300)));
-    let branch = warm.fork(1).pop().unwrap().run();
+    let branch = warm.snapshot().resume().run();
     assert_eq!(
         format!("{scratch:?}"),
         format!("{branch:?}"),

@@ -3,6 +3,11 @@
 //! round — upcall delivery, context switch, acknowledgement, migration —
 //! followed by a `System::debug_vm` snapshot of the guest at that moment.
 //!
+//! This is also the deep-history debugging workflow for a sanitizer
+//! violation: runs are deterministic, so re-run the failing
+//! `(scenario, cfg)` from t=0 with a large `trace_capacity` and read the
+//! rings directly instead of the report's 120-record tail.
+//!
 //! Run with: `cargo run --release --example trace_debugging`
 
 use irs_sched::sim::SimTime;

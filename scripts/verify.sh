@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, a lint gate, a
+# Tier-1 verification: release build, every `[[example]]` in the root
+# Cargo.toml run to a zero exit, full test suite, a lint gate, a
 # rustdoc gate (every doc warning, e.g. a broken intra-doc link, fails), the
 # benchmark's own build and self-test (perfbench is a separate
 # workspace, so the workspace build never compiles it), a checked
@@ -37,6 +38,13 @@ start=$(date +%s.%N)
 
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
+
+echo "== examples (every [[example]] in Cargo.toml must exit 0) =="
+cargo build --release --examples
+for ex in $(awk '/^\[\[example\]\]/ { e = 1; next } e && /^name/ { gsub(/"/, "", $3); print $3; e = 0 }' Cargo.toml); do
+    echo "-- example $ex"
+    ./target/release/examples/"$ex" >/dev/null
+done
 
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
