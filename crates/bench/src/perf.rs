@@ -59,8 +59,7 @@ pub struct PerfReport {
     /// Worker count the parallel pass ran with.
     pub parallel_jobs: usize,
     /// Event-queue micro-benchmark: schedule/cancel/pop operations per
-    /// second under a churn pattern that keeps the slab and tombstone
-    /// machinery hot.
+    /// second under a churn pattern that keeps the cancel path hot.
     pub queue_ops_per_sec: f64,
 }
 
@@ -304,8 +303,8 @@ const QUEUE_BENCH_POPULATION: usize = 512;
 /// over 1 µs..34 ms (PLE windows to slice expiries). Each round also arms
 /// and immediately cancels a timer (a slice timer dying to an early
 /// block) and pops three events forward, holding the live population at
-/// [`QUEUE_BENCH_POPULATION`]; the id slab and tombstone reclamation stay
-/// on the measured path.
+/// [`QUEUE_BENCH_POPULATION`]; cancellation by bucket lookup stays on the
+/// measured path.
 fn queue_ops_per_sec() -> f64 {
     const TARGET_OPS: u64 = 1_000_000;
     fn delta(k: u64) -> u64 {

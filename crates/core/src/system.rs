@@ -600,7 +600,7 @@ impl System {
     /// Captures a deep, self-contained checkpoint of the whole machine:
     /// hypervisor (credit arena, runqueues, SA rounds, runstate clocks),
     /// every guest kernel (CFS state, task arrays, sync space; programs
-    /// stay `Arc`-shared), the timer-wheel event queue (slab, generations,
+    /// stay `Arc`-shared), the timer-wheel event queue (head, buckets,
     /// occupancy bitmaps, overflow list, cursor, sequence counter), the
     /// workload RNG, and the fault-injection stream (RNG position, wedge
     /// windows, stats).
@@ -1334,7 +1334,7 @@ impl System {
 /// byte-for-byte identical to a from-scratch run of the same scenario and
 /// config — at any `--jobs N`, checked or not. That holds
 /// because every order-bearing counter is carried over exactly: the event
-/// queue's sequence counter, slab generations and cursor; the workload and
+/// queue's sequence counter and cursor; the workload and
 /// fault RNG positions; per-vCPU/task generation counters; and the
 /// processed-event count (so `RunResult::events` agrees).
 ///
@@ -1412,20 +1412,20 @@ impl Snapshot {
     ///
     /// This is *not* an exact heap measurement: per-event, per-task, and
     /// per-vCPU costs are flat constants chosen to over-approximate the
-    /// real structures (timer-wheel slab slots, guest CFS state, exec
+    /// real structures (timer-wheel entries, guest CFS state, exec
     /// contexts, runstate trackers). The estimate is deterministic and
     /// scales monotonically with state size.
     pub fn approx_bytes(&self) -> usize {
         /// Timer-wheel fixed geometry (slot vectors + occupancy bitmaps).
         const QUEUE_FIXED: usize = 32 << 10;
-        /// Slab entry + head-batch + slot bookkeeping per pending event.
+        /// Wheel or head entry plus bucket-vec slack per pending event.
         const PER_EVENT: usize = 96;
         /// TaskRt plus its parallel activity/generation array slots.
         const PER_TASK: usize = 192;
         /// Exec context, cached views, steal tracker, tick stamps.
         const PER_VCPU: usize = 768;
         let mut b = std::mem::size_of::<Self>() + QUEUE_FIXED;
-        b += (self.queue.len() + self.queue.tombstones()) * PER_EVENT;
+        b += self.queue.len() * PER_EVENT;
         b += self.hv.approx_heap_bytes();
         for d in &self.domains {
             b += std::mem::size_of_val(d) + d.name.len();

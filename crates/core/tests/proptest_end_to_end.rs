@@ -1,7 +1,8 @@
 //! End-to-end property tests: randomly composed workloads, strategies,
 //! interference, and fault profiles always run to completion with the
 //! online sanitizer armed on every event, cross-layer invariants intact,
-//! and physical time conserved.
+//! and physical time conserved; and a snapshot taken at a random step
+//! resumes into exactly the run the original finishes.
 
 use irs_core::{FaultConfig, Scenario, Strategy, System, SystemConfig, VmScenario};
 use irs_sim::SimTime;
@@ -73,6 +74,42 @@ fn faults_from(idx: u8) -> FaultConfig {
     }
 }
 
+/// The random two-VM scenario both properties draw: the measured random
+/// workload on 4 vCPUs plus `n_inter` CPU hogs, pinned one-to-one or not.
+#[allow(clippy::too_many_arguments)]
+fn random_scenario(
+    threads: usize,
+    iters: u64,
+    grain_us: u64,
+    barrier: bool,
+    spin: bool,
+    strategy: Strategy,
+    n_inter: usize,
+    pinned: bool,
+    seed: u64,
+) -> Scenario {
+    let bundle = random_bundle(threads, iters, grain_us, barrier, spin);
+    let mut scenario = Scenario::new(4, strategy, seed)
+        .vm(VmScenario::new(bundle, 4).pin_one_to_one().measured())
+        .vm(VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one())
+        .horizon(SimTime::from_secs(60));
+    if !pinned {
+        for vm in &mut scenario.vms {
+            vm.pinning = None;
+        }
+    }
+    scenario
+}
+
+/// Sanitizer armed on every event, with the given fault profile.
+fn checked(faults: &FaultConfig) -> SystemConfig {
+    SystemConfig {
+        check: true,
+        faults: Some(faults.clone()),
+        ..SystemConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -92,24 +129,12 @@ proptest! {
         seed in 0u64..1_000,
         fault_idx in 0u8..7,
     ) {
-        let bundle = random_bundle(threads, iters, grain_us, barrier, spin);
         let strategy = strategy_from(strategy_idx);
-        let mut scenario = Scenario::new(4, strategy, seed)
-            .vm(VmScenario::new(bundle, 4).pin_one_to_one().measured())
-            .vm(VmScenario::new(presets::hog::cpu_hogs(n_inter), 4).pin_one_to_one())
-            .horizon(SimTime::from_secs(60));
-        if !pinned {
-            for vm in &mut scenario.vms {
-                vm.pinning = None;
-            }
-        }
+        let scenario = random_scenario(
+            threads, iters, grain_us, barrier, spin, strategy, n_inter, pinned, seed,
+        );
         let faults = faults_from(fault_idx);
-        let cfg = SystemConfig {
-            check: true,
-            faults: Some(faults.clone()),
-            ..SystemConfig::default()
-        };
-        let mut sys = System::with_config(scenario, cfg);
+        let mut sys = System::with_config(scenario, checked(&faults));
         let mut steps = 0u64;
         loop {
             prop_assert!(sys.step(), "event queue drained unexpectedly");
@@ -139,5 +164,58 @@ proptest! {
             .map(|vm| hv.vm_cpu_time(irs_xen::VmId(vm), elapsed).as_nanos())
             .sum();
         prop_assert!(total <= 4 * elapsed.as_nanos() + 1000);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Snapshot/resume identity at a random instant: step the checked,
+    /// faulted system partway, snapshot it, and both the resumed copy and
+    /// the original must finish with the `RunResult` of a from-scratch run
+    /// (Debug rendering, so every float is bit-equal). `split` is reduced
+    /// modulo the run's event count so every case snapshots mid-run. The
+    /// snapshot copies the event queue mid-flight — cursor, buckets, head
+    /// batch, overflow — so any state the copy drops shows up as a
+    /// diverged suffix.
+    #[test]
+    fn snapshot_at_random_step_resumes_identically(
+        threads in 2usize..6,
+        iters in 3u64..12,
+        grain_us in 500u64..8_000,
+        barrier in any::<bool>(),
+        spin in any::<bool>(),
+        strategy_idx in 0u8..6,
+        n_inter in 1usize..4,
+        pinned in any::<bool>(),
+        seed in 0u64..1_000,
+        fault_idx in 0u8..7,
+        split in 1u64..20_000,
+    ) {
+        let system = || {
+            let scenario = random_scenario(
+                threads,
+                iters,
+                grain_us,
+                barrier,
+                spin,
+                strategy_from(strategy_idx),
+                n_inter,
+                pinned,
+                seed,
+            );
+            System::with_config(scenario, checked(&faults_from(fault_idx)))
+        };
+        let scratch = system().run();
+        let split = split % scratch.events;
+        let want = format!("{scratch:?}");
+        let mut sys = system();
+        for _ in 0..split {
+            prop_assert!(sys.step(), "event queue drained unexpectedly");
+        }
+        let snap = sys.snapshot();
+        let resumed = format!("{:?}", snap.resume().run());
+        prop_assert_eq!(resumed, want.clone(), "resumed at step {}", split);
+        prop_assert_eq!(format!("{:?}", sys.run()), want, "original past step {}", split);
     }
 }

@@ -1,12 +1,5 @@
 //! Cancellable discrete-event queue backed by a hierarchical timer wheel.
 //!
-//! The two-level scheduler simulation constantly arms timers that become
-//! irrelevant before they fire: a vCPU's 30 ms slice-expiry timer dies when
-//! the vCPU blocks early; a task's compute-completion event dies when its
-//! vCPU is preempted. Rather than eagerly removing entries (O(n)),
-//! [`EventQueue::cancel`] invalidates the entry's slab generation and later
-//! drains lazily skip corpses.
-//!
 //! # Hot-path design
 //!
 //! `schedule`/`pop`/`peek` are the innermost loop of every simulation run.
@@ -28,52 +21,51 @@
 //! * Events beyond the top level's range go to an unordered **overflow
 //!   list**, promoted wholesale when the wheel drains down to them.
 //! * A sorted **head** vector (descending `(time, seq)`, popped from the
-//!   back) holds every live event at or before the wheel **cursor**. The
-//!   back of the head is kept live at all times, which is what lets
+//!   back) holds every event at or before the wheel **cursor**. The head
+//!   is non-empty whenever any event is pending, which is what lets
 //!   [`EventQueue::peek_time`] / [`EventQueue::peek`] take `&self`.
 //!
 //! The cursor only ever moves to the tick of the earliest pending event, so
 //! a wheel slot is drained at most once per entry and cascading moves each
-//! entry strictly downward: `schedule`, `cancel`, and `pop` are all O(1)
-//! amortized. Pop order is **bit-identical** to the previous binary heap —
-//! earliest `(time, insertion seq)` first — because every slot drain sorts
-//! by the same total key the heap used.
+//! entry strictly downward: `schedule` and `pop` are O(1) amortized. Pop
+//! order is **bit-identical** to the previous binary heap — earliest
+//! `(time, insertion seq)` first — because every slot drain sorts by the
+//! same total key the heap used.
 //!
-//! Liveness still rides on the **generation-tagged slab** (a plain
-//! `Vec<u32>` plus a free list): an entry anywhere in the wheel is live iff
-//! its recorded generation matches its slot's. Two complementary mechanisms
-//! bound tombstone accumulation:
+//! # Cancellation by location
 //!
-//! * the head **back is always live** (dead backs are dropped eagerly by
-//!   `cancel`/`pop`), and slot drains drop corpses on the floor;
-//! * when dead entries outnumber live ones (and the population is
-//!   non-trivial), the whole structure is **compacted** in O(n): live
-//!   entries are retained in place, so a cancel-heavy run's memory stays
-//!   proportional to the live event count.
+//! An [`EventId`] is the event's `(time, seq)` key, and `cancel` removes the
+//! entry physically from the one place it can be:
+//!
+//! * tick at or before the cursor: the head, found by binary search;
+//! * otherwise: the bucket `bucket_of(tick, cursor)` (or the overflow
+//!   list), found by a scan of that bucket alone.
+//!
+//! This is exact because every wheel entry sits in `bucket_of(tick, cursor)`
+//! for the *current* cursor, not just the cursor it was placed against.
+//! `advance` drains the lowest occupied slot of the lowest occupied level
+//! *l* and only rewrites cursor bits below `8·(l+1)`. Entries of level *l*
+//! and above still differ from the cursor first in the same bit field, so
+//! they keep their level and slot. Levels below *l* are empty at that
+//! point, and the drained slot's entries are re-placed against the new
+//! cursor. Overflow promotion runs only on an empty wheel and leaves in
+//! overflow exactly the entries that still differ above bit 32.
+//!
+//! The simulator itself cancels nothing: `System` filters stale timers with
+//! per-timer generations carried in the payload. Cancellation serves the
+//! queue micro-benchmarks and library users.
 
 use crate::time::SimTime;
 
 /// Handle to a scheduled event, used for cancellation.
 ///
-/// A handle encodes a slab slot and that slot's generation at scheduling
-/// time. Slots are recycled, generations are not: every `(slot, generation)`
-/// pair — and therefore every `EventId` value — is unique for the lifetime
-/// of the queue.
+/// A handle is the event's firing time plus its insertion sequence number.
+/// Sequence numbers are never reused, so a stale handle (its event already
+/// popped or cancelled) can never match a later event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId(((gen as u64) << 32) | slot as u64)
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
+pub struct EventId {
+    at: SimTime,
+    seq: u64,
 }
 
 /// Wheel tick resolution: `2^16` ns = 65.5 µs per tick. One bottom-level
@@ -102,6 +94,26 @@ const LEVELS: usize = 4;
 /// Bits of tick the wheel proper can express relative to the cursor.
 const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 
+#[inline]
+fn tick_of(at: SimTime) -> u64 {
+    at.as_nanos() >> TICK_SHIFT
+}
+
+/// The level-major wheel bucket for a tick strictly after `cursor`, or
+/// `None` for the overflow list. The level is the 8-bit field holding the
+/// highest bit where the tick and the cursor differ, found with a single
+/// `leading_zeros`; the slot is the tick's own bits in that field.
+#[inline]
+fn bucket_of(tick: u64, cursor: u64) -> Option<usize> {
+    debug_assert!(tick > cursor, "bucket_of is only defined past the cursor");
+    let l = ((63 - (tick ^ cursor).leading_zeros()) / LEVEL_BITS) as usize;
+    if l >= LEVELS {
+        return None;
+    }
+    let s = ((tick >> (LEVEL_BITS * l as u32)) & SLOT_MASK) as usize;
+    Some(l * SLOTS + s)
+}
+
 /// A wheel entry carrying its payload inline. No intrinsic ordering: slot
 /// drains sort by the total key `(at, seq)` (`seq` is unique, so ties are
 /// FIFO by schedule order, exactly as the old heap broke them).
@@ -109,13 +121,11 @@ const WHEEL_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
     payload: E,
 }
 
-/// A time-ordered queue of events with stable FIFO tie-breaking and O(1)
-/// logical cancellation.
+/// A time-ordered queue of events with stable FIFO tie-breaking and
+/// cancellation by handle.
 ///
 /// Events scheduled for the same instant pop in the order they were
 /// scheduled, which gives the simulation a deterministic total order — a
@@ -137,55 +147,37 @@ struct Entry<E> {
 /// # Snapshots
 ///
 /// `EventQueue<E: Clone>` is `Clone`, and the clone is a *complete* state
-/// copy: slab generations, free list, sequence counter, cursor, occupancy
-/// bitmaps, head batch, and overflow list all carry over. A clone is
-/// therefore observationally identical to the original under every
-/// subsequent operation sequence — pops return the same `(time, seq)`
-/// order, new schedules receive the same `EventId`s, and handles issued
-/// before the clone remain valid against it. This is the foundation of
+/// copy: sequence counter, cursor, occupancy bitmaps, head batch, wheel
+/// buckets and overflow list all carry over. A clone is therefore
+/// observationally identical to the original under every subsequent
+/// operation sequence — pops return the same `(time, seq)` order, new
+/// schedules receive the same `EventId`s, and handles issued before the
+/// clone remain valid against it. This is the foundation of
 /// `System::snapshot()` checkpointing (DESIGN.md §2.7). Handles issued
 /// *after* the clone point belong to the timeline that issued them and
 /// must not be used against the other copy.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Live-or-dead entries at or before the cursor, sorted by `(at, seq)`
+    /// Entries at or before the cursor, sorted by `(at, seq)`
     /// **descending** so the global minimum pops from the back in O(1).
-    /// Invariant: the back is live whenever any live event exists.
+    /// Invariant: non-empty whenever any event is pending.
     head: Vec<Entry<E>>,
     /// `LEVELS * SLOTS` buckets, level-major. Entries here are strictly
-    /// after the cursor.
+    /// after the cursor, each in `bucket_of(tick, cursor)`.
     wheel: Vec<Vec<Entry<E>>>,
     /// One occupancy bit per slot, per level.
     occ: [[u64; WORDS]; LEVELS],
     /// Events more than `2^WHEEL_BITS` ticks past the cursor's window.
     overflow: Vec<Entry<E>>,
-    /// Current wheel position, in ticks. Only moves forward (except on
-    /// `clear`), and only to the tick of the earliest pending event.
+    /// Current wheel position, in ticks. Only moves forward, and only to
+    /// the tick of the earliest pending event.
     cursor: u64,
-    /// Generation per slab slot; an entry is live iff its recorded
-    /// generation still matches its slot's.
-    gens: Vec<u32>,
-    /// Last wheel bucket each slab slot's entry was placed in — a *hint*,
-    /// never trusted without checking the bucket's back entry. Lets
-    /// `cancel` physically shed the dominant arm-then-disarm pattern (a
-    /// slice timer cancelled right after scheduling) instead of cascading
-    /// a corpse through two cold levels.
-    hints: Vec<u32>,
-    free: Vec<u32>,
     next_seq: u64,
-    live: usize,
-    /// Entries physically present (head + wheel + overflow), live or dead.
-    physical: usize,
+    /// Pending events (head + wheel + overflow).
+    len: usize,
     /// Reused buffer for slot drains (avoids an alloc per cascade).
     scratch: Vec<Entry<E>>,
 }
-
-/// Compaction never triggers below this physical population; tiny queues
-/// are cheaper to skip-scan than to rebuild.
-const COMPACT_MIN: usize = 64;
-
-/// Hint value for "not in a wheel bucket" (head, overflow, or popped).
-const NO_HINT: u32 = u32::MAX;
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
@@ -196,51 +188,21 @@ impl<E> EventQueue<E> {
             occ: [[0; WORDS]; LEVELS],
             overflow: Vec::new(),
             cursor: 0,
-            gens: Vec::new(),
-            hints: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
-            live: 0,
-            physical: 0,
+            len: 0,
             scratch: Vec::new(),
         }
-    }
-
-    #[inline]
-    fn tick_of(at: SimTime) -> u64 {
-        at.as_nanos() >> TICK_SHIFT
-    }
-
-    #[inline]
-    fn is_live(&self, e: &Entry<E>) -> bool {
-        self.gens[e.slot as usize] == e.gen
     }
 
     /// Schedules `payload` to fire at instant `at` and returns a handle that
     /// can later be passed to [`cancel`](Self::cancel).
     #[inline]
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.gens.push(0);
-                self.hints.push(NO_HINT);
-                (self.gens.len() - 1) as u32
-            }
-        };
-        let gen = self.gens[slot as usize];
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry {
-            at,
-            seq,
-            slot,
-            gen,
-            payload,
-        };
-        self.live += 1;
-        self.physical += 1;
-        if Self::tick_of(at) <= self.cursor {
+        self.len += 1;
+        let entry = Entry { at, seq, payload };
+        if tick_of(at) <= self.cursor {
             // At or before the wheel position: sorted insert into the head.
             // Rare (the cursor trails the minimum), and cheap when it does
             // happen because the head only holds the current tick's worth.
@@ -253,124 +215,79 @@ impl<E> EventQueue<E> {
                 self.advance();
             }
         }
-        EventId::new(slot, gen)
+        EventId { at, seq }
     }
 
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending, `false` if it had
-    /// already fired or been cancelled. Cancellation bumps the slab
-    /// generation (O(1)); the entry is discarded lazily by a later slot
-    /// drain or compaction. The payload of a cancelled event is dropped at
-    /// that later point, not here.
-    #[inline]
+    /// already fired or been cancelled. The entry is removed at once (and
+    /// its payload dropped) from the head or from the one bucket its tick
+    /// maps to — see the module docs for why that bucket is exact.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot();
-        if self.gens.get(slot).copied() != Some(id.gen()) {
-            return false;
-        }
-        self.gens[slot] = id.gen().wrapping_add(1);
-        self.free.push(slot as u32);
-        self.live -= 1;
-        // Fast physical removal: if this slab slot's latest placement is
-        // still the back of its hinted bucket, shed the corpse now. The
-        // hint may be stale (the entry cascaded or fed the head), but the
-        // back-entry slot check makes a stale hit impossible to confuse
-        // with a live entry: anything matching `slot` is dead post-bump,
-        // and bucket order is irrelevant, so dropping it is always sound.
-        let b = self.hints[slot] as usize;
-        if b < LEVELS * SLOTS
-            && self.wheel[b].last().is_some_and(|e| e.slot as usize == slot)
-        {
-            self.wheel[b].pop();
-            self.physical -= 1;
-            if self.wheel[b].is_empty() {
+        let t = tick_of(id.at);
+        if t <= self.cursor {
+            let key = (id.at, id.seq);
+            let Ok(i) = self.head.binary_search_by(|e| key.cmp(&(e.at, e.seq))) else {
+                return false;
+            };
+            self.head.remove(i);
+        } else {
+            let b = bucket_of(t, self.cursor);
+            let bucket = match b {
+                Some(b) => &mut self.wheel[b],
+                None => &mut self.overflow,
+            };
+            // Search from the back: an arm-then-cancel finds its entry last.
+            let Some(i) = bucket.iter().rposition(|e| e.seq == id.seq) else {
+                return false;
+            };
+            debug_assert_eq!(bucket[i].at, id.at);
+            // Bucket order is irrelevant: every drain sorts.
+            bucket.swap_remove(i);
+            if let Some(b) = b.filter(|&b| self.wheel[b].is_empty()) {
                 let s = b % SLOTS;
                 self.occ[b / SLOTS][s >> 6] &= !(1u64 << (s & 63));
             }
         }
-        self.settle();
-        self.maybe_compact();
+        self.len -= 1;
+        if self.head.is_empty() && self.len > 0 {
+            self.advance();
+        }
         true
     }
 
-    /// Removes and returns the earliest live event as `(time, payload)`.
+    /// Removes and returns the earliest event as `(time, payload)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // The head back is always live (see `settle`), so this never skips.
         let entry = self.head.pop()?;
-        debug_assert_eq!(self.gens[entry.slot as usize], entry.gen, "dead head back");
-        self.gens[entry.slot as usize] = entry.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        self.physical -= 1;
-        self.settle();
+        self.len -= 1;
+        if self.head.is_empty() && self.len > 0 {
+            self.advance();
+        }
         Some((entry.at, entry.payload))
     }
 
-    /// The firing time of the earliest live event, without removing it.
+    /// The firing time of the earliest event, without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.head.last().map(|e| e.at)
     }
 
-    /// The earliest live event as `(time, &payload)`, without removing it.
+    /// The earliest event as `(time, &payload)`, without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.head.last().map(|e| (e.at, &e.payload))
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
-    /// True if no live events remain.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Number of cancelled entries still physically present in the wheel
-    /// (diagnostics; bounded at roughly the live count by compaction).
-    pub fn tombstones(&self) -> usize {
-        self.physical - self.live
-    }
-
-    /// Drops every pending event. Outstanding [`EventId`]s are invalidated:
-    /// a later `cancel` with a pre-`clear` handle reports `false`.
-    pub fn clear(&mut self) {
-        self.head.clear();
-        for l in 0..LEVELS {
-            for w in 0..WORDS {
-                let mut bits = self.occ[l][w];
-                while bits != 0 {
-                    let s = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.wheel[l * SLOTS + s].clear();
-                }
-                self.occ[l][w] = 0;
-            }
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.physical = 0;
-        self.free.clear();
-        for (i, g) in self.gens.iter_mut().enumerate() {
-            *g = g.wrapping_add(1);
-            self.free.push(i as u32);
-        }
-        self.live = 0;
-        // Every slot must re-enter the free list exactly once: a slot left
-        // out is stranded forever, and a duplicated slot would alias two
-        // live events on one generation counter — letting a single stale
-        // handle cancel the wrong post-clear event.
-        debug_assert_eq!(self.free.len(), self.gens.len());
-        debug_assert!({
-            let mut seen = vec![false; self.gens.len()];
-            self.free
-                .iter()
-                .all(|&s| !std::mem::replace(&mut seen[s as usize], true))
-        });
+        self.len == 0
     }
 
     /// Sorted insert into the descending head. O(log n) search plus the
@@ -381,65 +298,44 @@ impl<E> EventQueue<E> {
         self.head.insert(i, e);
     }
 
-    /// Files an entry strictly after the cursor into the shallowest level
-    /// whose window contains it, or the overflow list. O(1): the target
-    /// level is the 6-bit field holding the highest bit where the tick and
-    /// the cursor differ, found with a single `leading_zeros`.
+    /// Files an entry into `bucket_of(tick, cursor)` or the overflow list.
+    /// O(1).
     #[inline]
     fn place(&mut self, e: Entry<E>) {
-        let t = Self::tick_of(e.at);
+        let t = tick_of(e.at);
         if t <= self.cursor {
-            // At or before the wheel position. The level computation below
-            // is only defined for strictly-future ticks (`t == cursor`
-            // underflows the `63 - leading_zeros` shift; `t < cursor` picks
-            // a level from bits the cursor has already swept), so such
-            // entries belong in the head batch, same as `schedule`'s own
-            // at-or-before-cursor path. Both in-tree callers pre-filter
-            // this case — `schedule` into `insert_head`, `route` into
-            // `scratch` — so this arm is defensive, but it must be correct
-            // rather than an assert: an at-cursor tick is a legitimate
-            // instant to schedule for.
+            // At or before the wheel position. `bucket_of` is only defined
+            // for strictly-future ticks (`t == cursor` underflows the
+            // `63 - leading_zeros` shift; `t < cursor` picks a level from
+            // bits the cursor has already swept), so such entries belong in
+            // the head batch, same as `schedule`'s own at-or-before-cursor
+            // path. Both in-tree callers pre-filter this case — `schedule`
+            // into `insert_head`, `route` into `scratch` — so this arm is
+            // defensive, but it must be correct rather than an assert: an
+            // at-cursor tick is a legitimate instant to schedule for.
             self.insert_head(e);
             return;
         }
-        let l = ((63 - (t ^ self.cursor).leading_zeros()) / LEVEL_BITS) as usize;
-        if l >= LEVELS {
-            self.overflow.push(e);
-            return;
-        }
-        let s = ((t >> (LEVEL_BITS * l as u32)) & SLOT_MASK) as usize;
-        self.occ[l][s >> 6] |= 1 << (s & 63);
-        self.hints[e.slot as usize] = (l * SLOTS + s) as u32;
-        self.wheel[l * SLOTS + s].push(e);
-    }
-
-    /// Restores the invariant that the head back, if any live event exists,
-    /// is live. Amortized O(1): every dropped corpse was pushed exactly
-    /// once.
-    #[inline]
-    fn settle(&mut self) {
-        while let Some(back) = self.head.last() {
-            if self.is_live(back) {
-                return;
+        match bucket_of(t, self.cursor) {
+            Some(b) => {
+                let s = b % SLOTS;
+                self.occ[b / SLOTS][s >> 6] |= 1 << (s & 63);
+                self.wheel[b].push(e);
             }
-            self.head.pop();
-            self.physical -= 1;
-        }
-        if self.live > 0 {
-            self.advance();
+            None => self.overflow.push(e),
         }
     }
 
     /// Moves the cursor forward to the earliest pending event and drains
-    /// its slot into the head. Precondition: the head is empty and a live
-    /// event exists somewhere in the wheel or overflow.
+    /// its slot into the head. Precondition: the head is empty and an
+    /// event is pending somewhere in the wheel or overflow.
     ///
     /// Each iteration either drains the lowest occupied slot (cascading
     /// upper-level entries strictly downward) or promotes the nearest
     /// overflow window into the wheel, so every entry is touched at most
     /// `LEVELS + 1` times over its life — O(1) amortized.
     fn advance(&mut self) {
-        debug_assert!(self.head.is_empty() && self.live > 0);
+        debug_assert!(self.head.is_empty() && self.len > 0);
         while self.head.is_empty() {
             // The lowest occupied slot of the lowest occupied level is the
             // earliest window with pending entries (lower levels sit
@@ -469,21 +365,16 @@ impl<E> EventQueue<E> {
                 self.wheel[l * SLOTS + s as usize] = drained;
             } else {
                 // The wheel proper is empty: promote the nearest overflow
-                // window, shedding corpses while we scan.
-                let mut alive = std::mem::take(&mut self.overflow);
-                let before = alive.len();
-                let gens = &self.gens;
-                alive.retain(|e| gens[e.slot as usize] == e.gen);
-                self.physical -= before - alive.len();
-                debug_assert!(!alive.is_empty(), "live count says an event exists");
-                let w = alive
+                // window.
+                let pending = std::mem::take(&mut self.overflow);
+                let w = pending
                     .iter()
-                    .map(|e| Self::tick_of(e.at) >> WHEEL_BITS)
+                    .map(|e| tick_of(e.at) >> WHEEL_BITS)
                     .min()
-                    .unwrap();
+                    .expect("len says an event is pending");
                 self.cursor = w << WHEEL_BITS;
-                for e in alive {
-                    if Self::tick_of(e.at) >> WHEEL_BITS == w {
+                for e in pending {
+                    if tick_of(e.at) >> WHEEL_BITS == w {
                         self.route(e);
                     } else {
                         self.overflow.push(e);
@@ -496,17 +387,10 @@ impl<E> EventQueue<E> {
 
     /// Re-files one drained entry: entries at or before the (just
     /// advanced) cursor collect in `scratch` for a batch head merge, later
-    /// entries cascade into a strictly lower level. Liveness is only
-    /// checked on the head feed — a corpse cascading one level further is
-    /// a 32-byte sequential copy, cheaper than the cold random `gens` read
-    /// that would prove it dead early.
+    /// entries cascade into a strictly lower level.
     #[inline]
     fn route(&mut self, e: Entry<E>) {
-        if Self::tick_of(e.at) <= self.cursor {
-            if !self.is_live(&e) {
-                self.physical -= 1;
-                return;
-            }
+        if tick_of(e.at) <= self.cursor {
             self.scratch.push(e);
         } else {
             self.place(e);
@@ -514,8 +398,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Sorts the routed batch by the global key and installs it as the new
-    /// head. One O(k log k) sort per drained slot replaces k heap sifts,
-    /// and the batch is all-live by construction.
+    /// head. One O(k log k) sort per drained slot replaces k heap sifts.
     fn flush_scratch(&mut self) {
         if self.scratch.is_empty() {
             return;
@@ -524,33 +407,6 @@ impl<E> EventQueue<E> {
         self.scratch
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
         self.head.append(&mut self.scratch);
-    }
-
-    /// Rebuilds every bucket without tombstones once they outnumber live
-    /// entries, keeping memory and drain cost proportional to live events.
-    fn maybe_compact(&mut self) {
-        if self.physical < COMPACT_MIN || self.physical - self.live <= self.live {
-            return;
-        }
-        let gens = &self.gens;
-        self.head.retain(|e| gens[e.slot as usize] == e.gen);
-        for l in 0..LEVELS {
-            for w in 0..WORDS {
-                let mut bits = self.occ[l][w];
-                while bits != 0 {
-                    let s = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let gens = &self.gens;
-                    self.wheel[l * SLOTS + s].retain(|e| gens[e.slot as usize] == e.gen);
-                    if self.wheel[l * SLOTS + s].is_empty() {
-                        self.occ[l][w] &= !(1u64 << (s & 63));
-                    }
-                }
-            }
-        }
-        let gens = &self.gens;
-        self.overflow.retain(|e| gens[e.slot as usize] == e.gen);
-        self.physical = self.live;
     }
 }
 
@@ -611,12 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_of_reused_slot_does_not_kill_successor() {
+    fn stale_handle_does_not_kill_successor() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_nanos(1), 1);
         q.cancel(a);
-        // The slot is recycled with a fresh generation; the stale handle
-        // must not affect the new occupant.
+        // Sequence numbers are never reused, so the stale handle must not
+        // affect a later event.
         let b = q.schedule(SimTime::from_nanos(2), 2);
         assert!(!q.cancel(a));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(2), 2)));
@@ -658,109 +514,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_discards_everything() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(1), 1);
-        q.schedule(SimTime::from_nanos(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert!(!q.cancel(a), "pre-clear handles are invalidated");
-        // The queue is fully usable after a clear.
-        q.schedule(SimTime::from_nanos(3), 9);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 9)));
-    }
-
-    #[test]
-    fn clear_then_reschedule_keeps_stale_handles_dead() {
-        let mut q = EventQueue::new();
-        let pre: Vec<_> = (0..8u32)
-            .map(|i| q.schedule(SimTime::from_nanos(i as u64), i))
-            .collect();
-        // Mixed slot history through the clear: one slot already recycled
-        // by pop, one by cancel, the rest still live.
-        q.pop();
-        assert!(q.cancel(pre[3]));
-        q.clear();
-        // Refill past the cleared population so every recycled slot (and a
-        // few fresh ones) is re-occupied, in whatever order the free list
-        // hands slots out.
-        let post: Vec<_> = (0..12u32)
-            .map(|i| q.schedule(SimTime::from_nanos(100 + i as u64), 100 + i))
-            .collect();
-        assert_eq!(q.len(), 12);
-        for id in &pre {
-            assert!(!q.cancel(*id), "stale pre-clear handle hit a recycled slot");
-        }
-        assert_eq!(q.len(), 12, "stale cancels must not remove anything");
-        for id in &post {
-            assert!(q.cancel(*id), "post-clear handles must stay valid");
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn ids_are_never_reused() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_nanos(1), 1);
         q.pop();
         let b = q.schedule(SimTime::from_nanos(1), 1);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn compaction_bounds_tombstones() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..1000u32)
-            .map(|i| q.schedule(SimTime::from_nanos(1000 + i as u64), i))
-            .collect();
-        // Cancel from the back so corpses pile up out of the head's reach
-        // (the live back never exposes them to settle's eager drop).
-        for id in ids.iter().skip(100).rev() {
-            q.cancel(*id);
-        }
-        assert_eq!(q.len(), 100);
-        assert!(
-            q.tombstones() <= 100,
-            "compaction should cap tombstones at the live count, got {}",
-            q.tombstones()
-        );
-        // Survivors drain in schedule order (their times are increasing).
-        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(popped, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn small_queues_skip_compaction() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..16u32)
-            .map(|i| q.schedule(SimTime::from_nanos(10 + i as u64), i))
-            .collect();
-        for id in ids.iter().skip(1).rev() {
-            q.cancel(*id);
-        }
-        // Below COMPACT_MIN nothing forces a rebuild; correctness holds.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 0)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn heavy_churn_reuses_slots() {
-        let mut q = EventQueue::new();
-        for round in 0..50u64 {
-            let ids: Vec<_> = (0..100u64)
-                .map(|i| q.schedule(SimTime::from_nanos(round * 1000 + i), i))
-                .collect();
-            for (i, id) in ids.iter().enumerate() {
-                if i % 2 == 0 {
-                    assert!(q.cancel(*id));
-                }
-            }
-            while q.pop().is_some() {}
-        }
-        // Slab never grew past one round's worth of concurrent events.
-        assert!(q.gens.len() <= 100, "slab grew to {}", q.gens.len());
     }
 
     // ---- wheel-specific coverage ------------------------------------
@@ -844,6 +603,56 @@ mod tests {
     }
 
     #[test]
+    fn cancel_finds_entries_after_they_move() {
+        // Cancel looks an entry up where the *current* cursor says it must
+        // be. Move three entries before cancelling them: one cascaded from
+        // level 1 to level 0, one promoted out of overflow, and one fed
+        // into the head between same-tick FIFO siblings.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(tick_ns(0)), 0);
+        q.schedule(SimTime::from_nanos(tick_ns(260)), 1); // level 1, slot 1
+        let cascaded = q.schedule(SimTime::from_nanos(tick_ns(300)), 2); // level 1, slot 1
+        let sibling = SimTime::from_nanos(tick_ns(260) + 5);
+        q.schedule(sibling, 10);
+        let fed = q.schedule(sibling, 11);
+        q.schedule(sibling, 12);
+        let far = tick_ns((1 << WHEEL_BITS) + 5);
+        q.schedule(SimTime::from_nanos(far), 20); // overflow
+        let promoted = q.schedule(SimTime::from_nanos(tick_ns((1 << WHEEL_BITS) + 9)), 21);
+        assert_eq!(q.overflow.len(), 2);
+
+        // Popping tick 0 drains level 1 slot 1: tick 300 cascades into level
+        // 0 and tick 260 (with its siblings) feeds the head.
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(tick_ns(0)), 0)));
+        assert_eq!(q.cursor, 260);
+        assert!(q.cancel(fed), "same-tick sibling in the head");
+        assert!(q.cancel(cascaded), "entry cascaded to level 0");
+        assert!(!q.cancel(fed) && !q.cancel(cascaded));
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            let (t, p) = q.pop().unwrap();
+            got.push((t.as_nanos(), p));
+        }
+        assert_eq!(
+            got,
+            vec![
+                (tick_ns(260), 1),
+                (sibling.as_nanos(), 10),
+                (sibling.as_nanos(), 12)
+            ]
+        );
+
+        // The wheel ran dry, so both overflow entries were promoted and the
+        // nearer one fed the head; the other now sits in level 0.
+        assert!(q.overflow.is_empty());
+        assert_eq!(q.cursor, (1 << WHEEL_BITS) + 5);
+        assert!(q.cancel(promoted), "entry promoted out of overflow");
+        assert!(!q.cancel(promoted));
+        assert_eq!(q.len(), 1);
+        assert_eq!(drain(&mut q), vec![(far, 20)]);
+    }
+
+    #[test]
     fn schedule_at_pop_time_fires_immediately() {
         // The "now" of a driver loop: after popping an event, scheduling
         // another at exactly the popped instant (the cursor's own tick)
@@ -858,30 +667,14 @@ mod tests {
         assert_eq!(drain(&mut q), vec![(tick_ns(100), 3), (tick_ns(200), 2)]);
     }
 
-    /// Slab-allocates like `schedule` but hands the entry straight to
-    /// `place`, bypassing `schedule`'s own at-or-before-cursor pre-filter —
-    /// this is the only way to pin `place`'s defensive head arm directly.
+    /// Builds an entry like `schedule` but hands it straight to `place`,
+    /// bypassing `schedule`'s own at-or-before-cursor pre-filter — this is
+    /// the only way to pin `place`'s defensive head arm directly.
     fn raw_place(q: &mut EventQueue<u32>, at: SimTime, payload: u32) {
-        let slot = match q.free.pop() {
-            Some(s) => s,
-            None => {
-                q.gens.push(0);
-                q.hints.push(NO_HINT);
-                (q.gens.len() - 1) as u32
-            }
-        };
-        let gen = q.gens[slot as usize];
         let seq = q.next_seq;
         q.next_seq += 1;
-        q.live += 1;
-        q.physical += 1;
-        q.place(Entry {
-            at,
-            seq,
-            slot,
-            gen,
-            payload,
-        });
+        q.len += 1;
+        q.place(Entry { at, seq, payload });
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! Xen testbed; we reproduce the two-level scheduling dynamics on a
 //! discrete-event simulator instead, so every higher layer (the Xen-like
 //! hypervisor, the Linux-like guest, the workloads) needs a common notion of
-//! **virtual time**, an **event queue** that supports cheap logical
-//! cancellation, and **seeded randomness** so that every experiment is
+//! **virtual time**, a time-ordered **event queue** with cancellation by
+//! handle, and **seeded randomness** so that every experiment is
 //! exactly reproducible.
 //!
 //! The kernel is intentionally tiny and allocation-light:
 //!
 //! * [`SimTime`] — a nanosecond-resolution instant on the virtual timeline.
 //! * [`EventQueue`] — a monotonic priority queue of `(SimTime, payload)`
-//!   entries with stable FIFO ordering for simultaneous events and O(1)
-//!   logical cancellation via [`EventId`].
+//!   entries with stable FIFO ordering for simultaneous events; an
+//!   [`EventId`] cancels its entry by looking it up in the one bucket its
+//!   time maps to.
 //! * [`SimRng`] — a small, fast, seedable RNG wrapper with the handful of
 //!   distributions the workload models need.
 //! * [`trace`] — an optional bounded in-memory trace ring used by tests and

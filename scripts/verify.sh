@@ -28,13 +28,24 @@
 # matching BENCH_history.jsonl record) and records the total
 # verification wall-clock in its `verify_wall_s` field. perf, fleet and
 # serving share one record-and-ratchet path; the --check and --parity
-# passes neither append to BENCH_history.jsonl nor ratchet.
+# passes neither append to BENCH_history.jsonl nor ratchet. The four
+# --check-perf steps run in one scratch cwd seeded with a copy of the
+# committed BENCH_history.jsonl, so they ratchet against the committed
+# records (and each other's, in order) while their appends are thrown
+# away; only BENCH_runner.json is copied back. The script fails if the
+# committed BENCH_history.jsonl changed during the run.
 #
 # Usage: scripts/verify.sh   (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 start=$(date +%s.%N)
+root=$(pwd)
+figures="$root/target/release/figures"
+history_sum=$(cksum < BENCH_history.jsonl)
+# Scratch cwd for the --check-perf steps (see the header).
+perfdir=$(mktemp -d)
+cp BENCH_history.jsonl "$perfdir/"
 
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
@@ -74,38 +85,44 @@ echo "== figures fleet smoke (sanitizer armed, degradation contract) =="
 ./target/release/figures fleet --smoke --check --jobs 2 >/dev/null
 
 echo "== figures fleet smoke (perf record + events/sec ratchet) =="
-./target/release/figures fleet --smoke --check-perf --jobs 2 >/dev/null
+(cd "$perfdir" && "$figures" fleet --smoke --check-perf --jobs 2 >/dev/null)
 
 echo "== figures fleet smoke (incremental parity: elided == full) =="
 ./target/release/figures fleet --smoke --parity --jobs 2 >/dev/null
 
 echo "== figures fleet scale (1000 hosts; effective events/sec ratchet) =="
-./target/release/figures fleet --hosts 1000 --check-perf --jobs 2 >/dev/null
+(cd "$perfdir" && "$figures" fleet --hosts 1000 --check-perf --jobs 2 >/dev/null)
 
 echo "== figures serving smoke (sanitizer armed, cell contracts) =="
 ./target/release/figures serving --smoke --check --jobs 2 >/dev/null
 
 echo "== figures serving smoke (perf record + events/sec ratchet) =="
-./target/release/figures serving --smoke --check-perf --jobs 2 >/dev/null
+(cd "$perfdir" && "$figures" serving --smoke --check-perf --jobs 2 >/dev/null)
 
 echo "== figures all oracle (byte-identical to figures_output.txt and results_csv/) =="
 # A scratch cwd, so the fleet and serving runs inside `all` append to a
 # throwaway BENCH_history.jsonl rather than the committed one.
-root=$(pwd)
 oracle=$(mktemp -d)
-(cd "$oracle" && "$root/target/release/figures" all --csv csv --jobs 2 > out.txt)
+(cd "$oracle" && "$figures" all --csv csv --jobs 2 > out.txt)
 cmp "$oracle/out.txt" figures_output.txt
 diff -r "$oracle/csv" results_csv
 rm -rf "$oracle"
 
 echo "== figures perf (regression gate; writes BENCH_runner.json) =="
-./target/release/figures perf --quick --jobs 2 --check-perf
+(cd "$perfdir" && "$figures" perf --quick --jobs 2 --check-perf)
+cp "$perfdir/BENCH_runner.json" BENCH_runner.json
+rm -rf "$perfdir"
 
 wall=$(echo "$start $(date +%s.%N)" | awk '{printf "%.3f", $2 - $1}')
 
 # `figures perf` leaves verify_wall_s null for us to fill in.
 if [ -f BENCH_runner.json ]; then
     sed -i "s/\"verify_wall_s\": null/\"verify_wall_s\": ${wall}/" BENCH_runner.json
+fi
+
+if [ "$(cksum < BENCH_history.jsonl)" != "$history_sum" ]; then
+    echo "BENCH_history.jsonl changed during verification" >&2
+    exit 1
 fi
 
 echo "verify OK in ${wall}s"
